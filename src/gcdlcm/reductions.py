@@ -20,9 +20,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from gcdlcm.basis import CoprimeBasis, compute_basis, exponent_profile
-from gcdlcm.errors import DomainError, InfeasibleError
+from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
-from gcdlcm.setcover import CoverInstance
+from gcdlcm.setcover import CoverInstance, require_feasible
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,10 @@ class CoverImage:
     target: int
 
 
-def _require_covering(inst: CoverInstance) -> None:
-    covered = set()
-    for s in inst.sets:
-        covered.update(s)
-    for x in range(inst.universe_size):
-        if x not in covered:
-            raise InfeasibleError(
-                f"element {x} is contained in no set; the cover problem is trivial",
-                certificate={"uncoverable_element": x},
-            )
-
-
 def cover_to_lcm(inst: CoverInstance) -> CoverImage:
     """Embed a cover instance as a max-lcm problem: universe element j
     becomes the j-th prime, each set the product of its primes."""
-    _require_covering(inst)
+    require_feasible(inst, "; the cover problem is trivial")
     primes = first_primes(inst.universe_size)
     owners: dict[int, int] = {}
     for i, s in enumerate(inst.sets):
@@ -167,7 +155,7 @@ def cover_to_gcd(inst: CoverInstance) -> CoverImage:
     The emitted elements have gcd 1 exactly because the sets cover the
     universe, so 1 is the target the subset problem must preserve.
     """
-    _require_covering(inst)
+    require_feasible(inst, "; the cover problem is trivial")
     primes = first_primes(inst.universe_size)
     total = math.prod(primes)
     owners: dict[int, int] = {}

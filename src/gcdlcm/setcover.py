@@ -4,7 +4,10 @@ The universe is {0, ..., universe_size - 1}; sets are index lists. The
 greedy solver carries the classical harmonic-number guarantee
 |greedy| <= H(|X|) * OPT; the exact solver returns the lexicographically
 smallest index list among all minimum covers, so results are canonical
-and reproducible. Search kernels live in the compiled/pure backend pair.
+and reproducible. The exact solver first kernelizes the instance with the
+classic set-cover data reductions (sets that add nothing, duplicate sets,
+forced sets) and then runs the two-phase branch-and-bound of the
+compiled/pure kernel pair on the residual instance only.
 """
 
 from __future__ import annotations
@@ -48,14 +51,18 @@ class CoverSolution:
         return len(self.chosen)
 
 
-def _check_feasible(inst: CoverInstance) -> None:
+def require_feasible(inst: CoverInstance, detail: str = "") -> None:
+    """Raise InfeasibleError naming the smallest element in no set, with
+    ``detail`` appended to the message; return when the sets cover the
+    universe."""
     covered = set()
     for s in inst.sets:
         covered.update(s)
     for x in range(inst.universe_size):
         if x not in covered:
             raise InfeasibleError(
-                f"element {x} is contained in no set", certificate={"uncoverable_element": x}
+                f"element {x} is contained in no set{detail}",
+                certificate={"uncoverable_element": x},
             )
 
 
@@ -64,17 +71,32 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
 
     Optimal only when the answer has size 0 or 1; flagged accordingly.
     """
-    _check_feasible(inst)
+    require_feasible(inst)
     chosen = _kernel.greedy_cover(inst.universe_size, inst.sets)
     return CoverSolution(chosen=tuple(sorted(chosen)), is_optimal=len(chosen) <= 1)
 
 
 def exact_cover(inst: CoverInstance) -> CoverSolution:
     """Minimum cover; among minimum covers, the lexicographically smallest
-    index list. An empty universe is covered by the empty subfamily."""
-    _check_feasible(inst)
-    chosen = _kernel.exact_cover(inst.universe_size, inst.sets)
-    return CoverSolution(chosen=tuple(chosen), is_optimal=True)
+    index list. An empty universe is covered by the empty subfamily.
+
+    The kernel search runs only on what ``_kernelize`` leaves uncovered;
+    its witness maps back through the increasing list of live set indices
+    and joins the forced sets.
+    """
+    require_feasible(inst)
+    forced, live, uncovered = _kernelize(inst)
+    chosen = list(forced)
+    if uncovered:
+        size = uncovered.bit_count()
+        if size == inst.universe_size:
+            sets = [inst.sets[i] for i in live]  # nothing forced: same numbering
+        else:
+            elems = (e for e in range(inst.universe_size) if uncovered >> e & 1)
+            rank = {e: r for r, e in enumerate(elems)}
+            sets = [[rank[e] for e in inst.sets[i] if e in rank] for i in live]
+        chosen += (live[i] for i in _kernel.exact_cover(size, sets))
+    return CoverSolution(chosen=tuple(sorted(chosen)), is_optimal=True)
 
 
 def decide_cover(inst: CoverInstance, k: int) -> bool:
@@ -85,3 +107,58 @@ def decide_cover(inst: CoverInstance, k: int) -> bool:
         return exact_cover(inst).size <= k
     except InfeasibleError:
         return False
+
+
+def _kernelize(inst: CoverInstance) -> tuple[list[int], list[int], int]:
+    """Apply the set-cover data reductions to a fixpoint on a feasible
+    instance. Returns (forced, live, uncovered): the set indices every
+    canonical cover takes, the increasing indices of the sets the search
+    still has to choose from, and the bitmask of the elements the forced
+    sets leave uncovered (0 when they cover everything).
+
+    Each round restricts the live sets to the uncovered elements and
+      1. drops a set that adds nothing there,
+      2. keeps only the lowest index among sets equal there,
+      3. takes every set holding an element no other live set holds.
+
+    None of the rules changes the lexicographically smallest minimum
+    cover W (sorted index lists; of two lists of equal length, the smaller
+    is the one holding the least index of their symmetric difference):
+      - A forced set lies in every cover built from live sets, and W is
+        built from live sets (below), so it lies in W.
+      - Every minimum cover contains the forced sets, so a set adding
+        nothing beyond them would be redundant in it: no minimum cover
+        holds one.
+      - If sets i < j agree on the uncovered elements and a minimum cover
+        holds j, it cannot hold i too (j would be redundant), and swapping
+        j for i gives a minimum cover whose sorted list is
+        lexicographically smaller. So W never holds j.
+    With the forced sets F fixed, two minimum covers F + R and F + R'
+    differ exactly where R and R' do, so W is F plus the canonical cover
+    of the residual instance. Live indices map back in increasing order,
+    which keeps that order too.
+    """
+    uncovered = (1 << inst.universe_size) - 1
+    pow2 = [1 << e for e in range(inst.universe_size)]
+    masks = [sum(map(pow2.__getitem__, s)) for s in inst.sets]
+    live = list(range(len(masks)))
+    forced: list[int] = []
+    while True:
+        restricted: dict[int, int] = {}  # mask on the uncovered -> lowest index
+        for i in live:
+            m = masks[i] & uncovered
+            if m and m not in restricted:
+                restricted[m] = i
+        live = list(restricted.values())
+        # elements held by exactly one live set: in `once` but not in `twice`
+        once = twice = 0
+        for m in restricted:
+            twice |= once & m
+            once |= m
+        unique = once & ~twice
+        if not unique:
+            return forced, live, uncovered
+        for m, i in restricted.items():
+            if m & unique:
+                forced.append(i)
+                uncovered &= ~m

@@ -17,6 +17,7 @@ from gcdlcm import (
     exact_cover,
     greedy_cover,
 )
+from gcdlcm import _core_py, _kernel
 from helpers import exhaustive_min_cover
 
 
@@ -100,8 +101,29 @@ def cover_instances(draw):
     return CoverInstance(universe_size=n, sets=sets)
 
 
-@settings(max_examples=400, deadline=None)
-@given(cover_instances())
+@st.composite
+def planted_cover_instances(draw):
+    """Up to 10 x 10 covers with planted kernelization targets: elements
+    held by one set only (forcing it) and repeated sets (duplicates)."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    k = draw(st.integers(min_value=1, max_value=7))
+    label = draw(st.permutations(range(n)))
+    private = draw(st.integers(min_value=0, max_value=n))
+    sets = [set() for _ in range(k)]
+    if private < n:
+        shared = st.integers(min_value=private, max_value=n - 1)
+        sets = [draw(st.sets(shared, max_size=n - private)) for _ in range(k)]
+    for e in range(private):
+        sets[draw(st.integers(min_value=0, max_value=k - 1))].add(e)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        copy = sets[draw(st.integers(min_value=0, max_value=len(sets) - 1))]
+        sets.insert(draw(st.integers(min_value=0, max_value=len(sets))), copy)
+    relabelled = tuple(tuple(sorted(label[e] for e in s)) for s in sets)
+    return CoverInstance(universe_size=n, sets=relabelled)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(cover_instances(), planted_cover_instances()))
 def test_exact_matches_exhaustive_oracle(ci):
     oracle = exhaustive_min_cover(ci.universe_size, ci.sets)
     if oracle is None:
@@ -113,6 +135,8 @@ def test_exact_matches_exhaustive_oracle(ci):
     sol = exact_cover(ci)
     assert sol.size == size
     assert sol.chosen == witness, "exact witness must be the lex-smallest minimum cover"
+    # kernelization must not change what the kernel alone returns
+    assert sol.chosen == tuple(_kernel.exact_cover(ci.universe_size, ci.sets))
     assert decide_cover(ci, size)
     assert not decide_cover(ci, size - 1)
 
@@ -136,3 +160,14 @@ def test_exact_cover_is_deterministic():
     ci = inst(5, [0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [0, 1, 2])
     results = {exact_cover(ci).chosen for _ in range(5)}
     assert len(results) == 1
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_exact_cover_deep_forced_instance_on_pure_backend(monkeypatch, copies):
+    # 1500 singletons, once or listed twice: a search of depth 1500 overran
+    # the Python recursion limit in the pure kernel; kernelization takes
+    # every set as forced (after dropping the later copies) instead
+    monkeypatch.setattr(_kernel, "exact_cover", _core_py.exact_cover)
+    ci = CoverInstance(1500, tuple((i,) for i in range(1500)) * copies)
+    assert exact_cover(ci).chosen == tuple(range(1500))
+

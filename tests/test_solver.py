@@ -16,6 +16,7 @@ from gcdlcm import (
     brute_force,
     decide,
     eliminate_b,
+    generate_instance,
     solve,
 )
 from helpers import set_value
@@ -51,6 +52,33 @@ def test_max_lcm_pin():
     sol = solve(mk([4, 6, 9], mode="max-lcm"))
     assert sol.s == (4, 9)
     assert sol.achieved == 36
+
+
+# Canonical answers on seeded max-lcm sets of values <= 1e4, where most
+# cover sets are forced and a small residual is left to search.
+SEEDED_MAX_LCM_PINS = [
+    ((2, 44, 2), (
+        169, 281, 452, 722, 842, 1244, 1270, 1525, 2025, 2834, 2836, 2878, 2962, 3334, 4591, 4670,
+        4681, 4837, 4903, 6775, 7328, 7441, 7840, 7921, 7981, 8613, 8714, 9263, 9536, 9687, 9990,
+    )),
+    ((5, 60, 0), (
+        103, 573, 845, 940, 981, 982, 1142, 1213, 1795, 1807, 2389, 2734, 3127, 3207, 3792, 3870,
+        4461, 4864, 5125, 5390, 5770, 5783, 5910, 6178, 6200, 6310, 6401, 7226, 7593, 7596, 7609,
+        7748, 7751, 7834, 7933, 8312, 8466, 8520, 9072, 9191, 9411, 9419, 9488, 9623,
+    )),
+    ((213, 60, 0), (
+        537, 571, 787, 1060, 1293, 1301, 1413, 1579, 2689, 2951, 3053, 3134, 3380, 3578, 3743,
+        3776, 3907, 3972, 4034, 4402, 4533, 4546, 4829, 4961, 5065, 5167, 5439, 5683, 6766, 6773,
+        6796, 7337, 8059, 8224, 8300, 8776, 9173, 9714, 9720, 9723, 9944,
+    )),
+]
+
+
+@pytest.mark.parametrize("params,expected", SEEDED_MAX_LCM_PINS)
+def test_seeded_max_lcm_pins(params, expected):
+    seed, count, b_count = params
+    inst = generate_instance(seed, count, 10**4, mode="max-lcm", b_count=b_count)
+    assert solve(inst).s == expected
 
 
 def test_b_alone_attaining_target_gives_empty_s():
