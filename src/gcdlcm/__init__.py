@@ -2,12 +2,10 @@
 
 The library reduces both objectives to minimum cover over a coprime
 basis, solves covers greedily or exactly, maps solutions back, and
-applies the machinery to pruning circulant-graph links. Hot search
-kernels run from a compiled extension when available; set GCDLCM_PURE=1
-to force the pure-Python fallback.
+applies the machinery to pruning circulant-graph links. Everything,
+the exact cover search included, is pure Python.
 """
 
-from gcdlcm._kernel import kernel_backend
 from gcdlcm.basis import CoprimeBasis, compute_basis, exponent_profile
 from gcdlcm.circulant import (
     BFS_NODE_CAP,
@@ -48,6 +46,12 @@ from gcdlcm.solver import (
 )
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the cover-search backend: always "python", the only one."""
+    return "python"
+
 
 __all__ = [
     "BEliminationMap",

@@ -10,9 +10,9 @@ keeping the graph connected, a min-gcd subset problem with required set
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from gcdlcm import _kernel
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
 from gcdlcm.numeric import NatSet, gcd_set, natset
 from gcdlcm.solver import ProblemInstance, solve
@@ -46,7 +46,7 @@ def is_connected_bfs(g: CirculantGraph, cap: int = BFS_NODE_CAP) -> bool:
     if m > cap:
         raise CapExceededError(f"breadth-first search over {m} nodes exceeds the cap of {cap}")
     steps = sorted({a % m for a in g.links} - {0})
-    return _kernel.bfs_reached(m, steps) == m
+    return _bfs_reached(m, steps) == m
 
 
 def prune_links(g: CirculantGraph, method: str = "exact") -> NatSet:
@@ -59,3 +59,35 @@ def prune_links(g: CirculantGraph, method: str = "exact") -> NatSet:
         )
     inst = ProblemInstance(a=g.links, b=(g.node_count,), mode="min-gcd")
     return solve(inst, method).s
+
+
+def _bfs_reached(node_count: int, steps: Sequence[int]) -> int:
+    """Nodes reachable from 0 stepping +-a mod node_count for each step a.
+
+    Steps must already be reduced to the range [1, node_count - 1].
+    """
+    m = node_count
+    seen = bytearray(m)
+    seen[0] = 1
+    count = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a in steps:
+                w = v + a
+                if w >= m:
+                    w -= m
+                if not seen[w]:
+                    seen[w] = 1
+                    count += 1
+                    nxt.append(w)
+                u = v - a
+                if u < 0:
+                    u += m
+                if not seen[u]:
+                    seen[u] = 1
+                    count += 1
+                    nxt.append(u)
+        frontier = nxt
+    return count

@@ -17,8 +17,8 @@ from typing import Any
 from gcdlcm.basis import CoprimeBasis
 from gcdlcm.errors import DomainError
 from gcdlcm.reductions import BEliminationMap, CoverImage, CoverReduction
-from gcdlcm.setcover import CoverInstance, CoverSolution
-from gcdlcm.solver import ProblemInstance, SolveStats, SubsetSolution
+from gcdlcm.setcover import CoverInstance
+from gcdlcm.solver import ProblemInstance, SubsetSolution
 
 
 def canonical_json(payload: dict) -> str:
@@ -81,7 +81,7 @@ def instance_from_payload(payload: Any) -> ProblemInstance:
     )
 
 
-# -- cover instances and solutions --------------------------------------
+# -- cover instances ----------------------------------------------------
 
 
 def cover_instance_to_payload(inst: CoverInstance) -> dict:
@@ -99,21 +99,6 @@ def cover_instance_from_payload(payload: Any) -> CoverInstance:
     return CoverInstance(
         universe_size=parse_int(payload["universe_size"], "universe_size"),
         sets=tuple(tuple(parse_int_list(s, f"sets[{i}]")) for i, s in enumerate(raw)),
-    )
-
-
-def cover_solution_to_payload(sol: CoverSolution) -> dict:
-    return {"chosen": list(sol.chosen), "optimal": sol.is_optimal, "size": sol.size}
-
-
-def cover_solution_from_payload(payload: Any) -> CoverSolution:
-    _require(payload, "chosen", "optimal")
-    optimal = payload["optimal"]
-    if not isinstance(optimal, bool):
-        raise DomainError("field 'optimal': expected a boolean")
-    return CoverSolution(
-        chosen=tuple(parse_int_list(payload["chosen"], "chosen")),
-        is_optimal=optimal,
     )
 
 
@@ -138,33 +123,6 @@ def subset_solution_to_payload(sol: SubsetSolution, include_timing: bool = False
         "stats": stats,
         "target": str(sol.target),
     }
-
-
-def subset_solution_from_payload(payload: Any) -> SubsetSolution:
-    _require(payload, "S", "achieved", "method", "optimal", "target")
-    optimal = payload["optimal"]
-    if not isinstance(optimal, bool):
-        raise DomainError("field 'optimal': expected a boolean")
-    method = payload["method"]
-    if not isinstance(method, str):
-        raise DomainError("field 'method': expected a string")
-    raw_stats = payload.get("stats", {})
-    if not isinstance(raw_stats, dict):
-        raise DomainError("field 'stats': expected an object")
-    elapsed = raw_stats.get("elapsed_s")
-    stats = SolveStats(
-        elapsed_s=float(elapsed) if elapsed is not None else None,
-        universe_size=parse_int(raw_stats.get("universe_size", 0), "stats.universe_size"),
-        num_sets=parse_int(raw_stats.get("num_sets", 0), "stats.num_sets"),
-    )
-    return SubsetSolution(
-        s=tuple(parse_int_list(payload["S"], "S")),
-        achieved=parse_int(payload["achieved"], "achieved"),
-        target=parse_int(payload["target"], "target"),
-        method=method,
-        optimal=optimal,
-        stats=stats,
-    )
 
 
 # -- reductions ---------------------------------------------------------

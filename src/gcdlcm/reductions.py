@@ -99,22 +99,23 @@ def attainment_cover(
 def lcm_to_cover(a: Iterable[int]) -> CoverReduction:
     """Cover instance whose minimum cover size equals the smallest nonempty
     subset of a preserving lcm(a)."""
-    src = natset(a)
-    if not src:
-        raise DomainError("cannot reduce an empty set")
-    cb = compute_basis(src)
-    profile = exponent_profile(cb, "max")
-    return attainment_cover(cb, list(range(len(cb.basis))), profile, set(src))
+    return _attainment_reduction(a, "max")
 
 
 def gcd_to_cover(a: Iterable[int]) -> CoverReduction:
     """Cover instance whose minimum cover size equals the smallest nonempty
     subset of a preserving gcd(a)."""
+    return _attainment_reduction(a, "min")
+
+
+def _attainment_reduction(a: Iterable[int], stat: str) -> CoverReduction:
+    """Attainment cover of a over its coprime basis, every column in the
+    universe; ``stat`` ("min" or "max") picks the exponent to attain."""
     src = natset(a)
     if not src:
         raise DomainError("cannot reduce an empty set")
     cb = compute_basis(src)
-    profile = exponent_profile(cb, "min")
+    profile = exponent_profile(cb, stat)
     return attainment_cover(cb, list(range(len(cb.basis))), profile, set(src))
 
 

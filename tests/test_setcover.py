@@ -17,7 +17,7 @@ from gcdlcm import (
     exact_cover,
     greedy_cover,
 )
-from gcdlcm import _core_py, _kernel
+from gcdlcm import setcover
 from helpers import exhaustive_min_cover
 
 
@@ -135,8 +135,10 @@ def test_exact_matches_exhaustive_oracle(ci):
     sol = exact_cover(ci)
     assert sol.size == size
     assert sol.chosen == witness, "exact witness must be the lex-smallest minimum cover"
-    # kernelization must not change what the kernel alone returns
-    assert sol.chosen == tuple(_kernel.exact_cover(ci.universe_size, ci.sets))
+    # kernelization must not change what the search alone returns
+    masks = [sum(1 << e for e in s) for s in ci.sets]
+    full = (1 << ci.universe_size) - 1
+    assert sol.chosen == tuple(setcover._exact_search(masks, full))
     assert decide_cover(ci, size)
     assert not decide_cover(ci, size - 1)
 
@@ -163,11 +165,29 @@ def test_exact_cover_is_deterministic():
 
 
 @pytest.mark.parametrize("copies", [1, 2])
-def test_exact_cover_deep_forced_instance_on_pure_backend(monkeypatch, copies):
-    # 1500 singletons, once or listed twice: a search of depth 1500 overran
-    # the Python recursion limit in the pure kernel; kernelization takes
-    # every set as forced (after dropping the later copies) instead
-    monkeypatch.setattr(_kernel, "exact_cover", _core_py.exact_cover)
+def test_exact_cover_deep_forced_instance_on_pure_backend(copies):
+    # 1500 singletons, once or listed twice: kernelization takes every set
+    # as forced (after dropping the later copies) without searching
     ci = CoverInstance(1500, tuple((i,) for i in range(1500)) * copies)
     assert exact_cover(ci).chosen == tuple(range(1500))
 
+
+_CYCLE = tuple((i, (i + 1) % 2100) for i in range(2100))
+# greedy takes (0, 1, 2, 3) first and then two more sets where two suffice;
+# in front of the shifted cycle it makes the size search branch 1052 deep
+_TRAP = ((0, 1, 2, 3), (0, 1, 4), (2, 3, 5), (4,), (5,))
+_TRAPPED_CYCLE = _TRAP + tuple((6 + a, 6 + b) for a, b in _CYCLE)
+
+
+@pytest.mark.parametrize(
+    "ci, witness",
+    [
+        (CoverInstance(2100, _CYCLE), tuple(range(0, 2100, 2))),
+        (CoverInstance(2106, _TRAPPED_CYCLE), (1, 2) + tuple(range(5, 2105, 2))),
+    ],
+    ids=["cycle", "trapped-cycle"],
+)
+def test_exact_cover_deep_search_without_forced_sets(ci, witness):
+    # cycles of pairs {i, i + 1 mod 2100}: nothing is forced, and the
+    # searches go more than 1050 sets deep, past the default recursion limit
+    assert exact_cover(ci).chosen == witness
