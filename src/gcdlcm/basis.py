@@ -2,11 +2,11 @@
 
 A coprime basis of a set A is a list of pairwise coprime integers >= 2
 such that every element of A is exactly a product of powers of basis
-elements. Bases are not unique; this implementation guarantees the
-defining invariants plus determinism (same input, same basis), nothing
-more. Computed by pairwise refinement: while two entries share a common
-divisor h > 1, split them against h. The entry product strictly shrinks
-each step, so the loop terminates.
+elements. Bases are not unique in general; the one computed here is the
+natural coprime base, at which every refinement by gcd splits ends,
+whatever the order of the splits, so the result is deterministic. It is
+built from a worklist that splits each new value against a
+pairwise-coprime list, without rescanning pairs already known coprime.
 """
 
 from __future__ import annotations
@@ -37,64 +37,57 @@ class CoprimeBasis:
         return math.prod(p**e for p, e in zip(self.basis, row))
 
 
-def _refine(entries: set[int]) -> list[int]:
-    """Fixed point of pairwise splitting; returns an ascending coprime list.
+def _refine(values: Iterable[int]) -> list[int]:
+    """Natural coprime base of the values (all >= 2), ascending.
 
-    The pair picked each step is the lexicographically first (by ascending
-    value order) with gcd > 1, so the result is deterministic. Entries
-    equal to 1 are dropped; equal values merge.
+    A worklist feeds a pairwise-coprime list. A value coprime to every
+    listed entry joins the list; a value x sharing h > 1 with a listed p
+    takes p out and sends x // h, p // h and h back to the worklist (parts
+    equal to 1 are dropped). Each split shrinks the product of list and
+    worklist by h, so the loop ends, and every value stays a product of
+    powers of what is listed. The result does not depend on the order of
+    the splits: a set's natural coprime base is unique (Bernstein,
+    "Factoring into coprimes in essentially linear time", J. Algorithms
+    54, 2005).
     """
-    current = sorted(entries)
-    while True:
-        found = None
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                h = math.gcd(current[i], current[j])
-                if h > 1:
-                    found = (current[i], current[j], h)
-                    break
-            if found:
+    coprime: list[int] = []
+    work = list(values)
+    while work:
+        x = work.pop()
+        for k, p in enumerate(coprime):
+            h = math.gcd(x, p)
+            if h > 1:
+                del coprime[k]
+                work.extend(v for v in (x // h, p // h, h) if v > 1)
                 break
-        if found is None:
-            return current
-        p, q, h = found
-        merged = set(current)
-        merged.discard(p)
-        merged.discard(q)
-        for v in (p // h, q // h, h):
-            if v > 1:
-                merged.add(v)
-        current = sorted(merged)
+        else:
+            coprime.append(x)
+    return sorted(coprime)
 
 
 def compute_basis(a: Iterable[int]) -> CoprimeBasis:
     """Coprime basis of a set of positive integers.
 
     Elements equal to 1 get an all-zero exponent row and never enter the
-    refinement. If dividing out all basis elements leaves a residual > 1
-    (cannot happen for a correct refinement, kept as a safety net), the
-    residual is folded into the basis and extraction restarts.
+    refinement. Every other element is a product of powers of the basis,
+    so one pass of division extracts its exponents.
     """
     source = natset(a)
-    basis = _refine({v for v in source if v > 1})
-    while True:
-        rows: list[tuple[int, ...]] = []
-        residuals: set[int] = set()
-        for v in source:
-            row = []
-            rem = v
-            for p in basis:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                row.append(e)
-            if rem > 1:
-                residuals.add(rem)
-            rows.append(tuple(row))
-        if not residuals:
-            return CoprimeBasis(source=source, basis=tuple(basis), exponents=tuple(rows))
-        basis = _refine(set(basis) | residuals)
+    basis = tuple(_refine(v for v in source if v > 1))
+    rows: list[tuple[int, ...]] = []
+    for v in source:
+        row = []
+        rem = v
+        for p in basis:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            row.append(e)
+        if rem != 1:
+            raise RuntimeError("internal: an element is not a product of basis powers")
+        rows.append(tuple(row))
+    return CoprimeBasis(source=source, basis=basis, exponents=tuple(rows))
 
 
 def exponent_profile(cb: CoprimeBasis, stat: str) -> dict[int, int]:

@@ -221,6 +221,10 @@ def _emit(args, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # payload integers are arbitrarily large decimals; lift the int/str
+    # conversion limit (Python before 3.10.7 has none)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         payload, status = args.handler(args)

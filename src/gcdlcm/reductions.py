@@ -1,10 +1,13 @@
 """Transforms between subset-gcd/lcm problems and minimum cover.
 
-Forward direction: a set of positive integers becomes a cover instance
-over its coprime basis, where each element owns the basis elements whose
-extreme exponent it attains (max for lcm, min for gcd). A subfamily of
-owner sets covers the basis exactly when the owners preserve the lcm
-(resp. gcd) of the whole set, so optimal sizes transfer both ways.
+Forward direction: one attainment reduction builds every cover. A set a
+of positive integers, next to a required set b (possibly empty), becomes
+a cover instance over the coprime basis of a | b: each element of a owns
+the basis elements whose extreme exponent (max for lcm, min for gcd) it
+attains, and the basis elements some element of b already attains leave
+the universe. A subfamily of owner sets covers the universe exactly when
+the owners, together with b, preserve the lcm (resp. gcd) of a | b, so
+optimal sizes transfer both ways.
 
 Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
@@ -19,7 +22,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from gcdlcm.basis import CoprimeBasis, compute_basis, exponent_profile
+from gcdlcm.basis import compute_basis, exponent_profile
 from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
 from gcdlcm.setcover import CoverInstance, require_feasible
@@ -66,57 +69,52 @@ def eliminate_b(a: Iterable[int], b: Iterable[int]) -> BEliminationMap:
     return BEliminationMap(reduced=natset(section), section=section)
 
 
-def attainment_cover(
-    cb: CoprimeBasis,
-    universe_cols: list[int],
-    profile: dict[int, int],
-    owners_from: set[int],
-) -> CoverReduction:
-    """Cover instance whose sets record which universe columns each owner
-    attains the profile exponent on.
+def attainment_reduction(a: Iterable[int], b: Iterable[int], stat: str) -> CoverReduction:
+    """Attainment cover of a, next to a required set b, over the coprime
+    basis of a | b; ``stat`` ("min" or "max") picks the exponent to attain.
 
-    Equal sets collapse to the smallest owner, so reduction-produced
-    instances have pairwise-distinct sets.
+    Columns on which some element of b attains the ``stat`` exponent need
+    no covering and are dropped from the universe. Each element of a owns
+    the remaining columns it attains; equal sets collapse to the smallest
+    owner, so reduction-produced instances have pairwise-distinct sets.
     """
-    labels = tuple(cb.basis[c] for c in universe_cols)
+    a_set, b_set = natset(a), natset(b)
+    if not a_set and not b_set:
+        raise DomainError("cannot reduce an empty set")
+    cb = compute_basis(a_set + b_set)
+    profile = exponent_profile(cb, stat)
+    extreme = [profile[p] for p in cb.basis]
+    a_members, b_members = set(a_set), set(b_set)
+    b_rows = [row for x, row in zip(cb.source, cb.exponents) if x in b_members]
+    cols = [c for c, e in enumerate(extreme) if all(row[c] != e for row in b_rows)]
     sets: list[tuple[int, ...]] = []
     owners: list[int] = []
     seen: set[tuple[int, ...]] = set()
     for x, row in zip(cb.source, cb.exponents):
-        if x not in owners_from:
+        if x not in a_members:
             continue
-        cset = tuple(
-            j for j, c in enumerate(universe_cols) if row[c] == profile[cb.basis[c]]
-        )
+        cset = tuple(j for j, c in enumerate(cols) if row[c] == extreme[c])
         if cset not in seen:
             seen.add(cset)
             sets.append(cset)
             owners.append(x)
-    cover = CoverInstance(universe_size=len(universe_cols), sets=tuple(sets))
-    return CoverReduction(cover=cover, universe_labels=labels, set_owners=tuple(owners))
+    return CoverReduction(
+        cover=CoverInstance(universe_size=len(cols), sets=tuple(sets)),
+        universe_labels=tuple(cb.basis[c] for c in cols),
+        set_owners=tuple(owners),
+    )
 
 
 def lcm_to_cover(a: Iterable[int]) -> CoverReduction:
     """Cover instance whose minimum cover size equals the smallest nonempty
     subset of a preserving lcm(a)."""
-    return _attainment_reduction(a, "max")
+    return attainment_reduction(a, (), "max")
 
 
 def gcd_to_cover(a: Iterable[int]) -> CoverReduction:
     """Cover instance whose minimum cover size equals the smallest nonempty
     subset of a preserving gcd(a)."""
-    return _attainment_reduction(a, "min")
-
-
-def _attainment_reduction(a: Iterable[int], stat: str) -> CoverReduction:
-    """Attainment cover of a over its coprime basis, every column in the
-    universe; ``stat`` ("min" or "max") picks the exponent to attain."""
-    src = natset(a)
-    if not src:
-        raise DomainError("cannot reduce an empty set")
-    cb = compute_basis(src)
-    profile = exponent_profile(cb, stat)
-    return attainment_cover(cb, list(range(len(cb.basis))), profile, set(src))
+    return attainment_reduction(a, (), "min")
 
 
 @dataclass(frozen=True)

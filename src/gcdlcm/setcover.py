@@ -52,19 +52,25 @@ class CoverSolution:
         return len(self.chosen)
 
 
-def require_feasible(inst: CoverInstance, detail: str = "") -> None:
-    """Raise InfeasibleError naming the smallest element in no set, with
-    ``detail`` appended to the message; return when the sets cover the
-    universe."""
-    covered = set()
-    for s in inst.sets:
-        covered.update(s)
-    for x in range(inst.universe_size):
-        if x not in covered:
-            raise InfeasibleError(
-                f"element {x} is contained in no set{detail}",
-                certificate={"uncoverable_element": x},
-            )
+def require_feasible(inst: CoverInstance, detail: str = "") -> list[int]:
+    """One bitmask per set (bit e set when the set holds element e), read
+    once for feasibility too: raise InfeasibleError naming the smallest
+    element in no set, with ``detail`` appended to the message."""
+    # sets are sorted, so s[-1] is the largest element; the table stops at
+    # the largest element held, whatever universe size the input claims
+    top = max((s[-1] for s in inst.sets if s), default=-1)
+    pow2 = [1 << e for e in range(top + 1)]
+    masks = [sum(map(pow2.__getitem__, s)) for s in inst.sets]
+    union = 0
+    for m in masks:
+        union |= m
+    x = (~union & (union + 1)).bit_length() - 1  # lowest bit not in the union
+    if x < inst.universe_size:
+        raise InfeasibleError(
+            f"element {x} is contained in no set{detail}",
+            certificate={"uncoverable_element": x},
+        )
+    return masks
 
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
@@ -72,8 +78,8 @@ def greedy_cover(inst: CoverInstance) -> CoverSolution:
 
     Optimal only when the answer has size 0 or 1; flagged accordingly.
     """
-    require_feasible(inst)
-    chosen = _greedy_order(_masks(inst), (1 << inst.universe_size) - 1)
+    masks = require_feasible(inst)
+    chosen = _greedy_order(masks, (1 << inst.universe_size) - 1)
     return CoverSolution(chosen=tuple(sorted(chosen)), is_optimal=len(chosen) <= 1)
 
 
@@ -90,8 +96,7 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
     order between elements, so the branching element (fewest holders,
     lowest on ties), every bound and every candidate order stay the same.
     """
-    require_feasible(inst)
-    masks = _masks(inst)
+    masks = require_feasible(inst)
     forced, live, uncovered = _kernelize(masks, (1 << inst.universe_size) - 1)
     chosen = list(forced)
     if uncovered:
@@ -108,12 +113,6 @@ def decide_cover(inst: CoverInstance, k: int) -> bool:
         return exact_cover(inst).size <= k
     except InfeasibleError:
         return False
-
-
-def _masks(inst: CoverInstance) -> list[int]:
-    """One bitmask per set: bit e is set when the set holds element e."""
-    pow2 = [1 << e for e in range(inst.universe_size)]
-    return [sum(map(pow2.__getitem__, s)) for s in inst.sets]
 
 
 def _kernelize(masks: list[int], full: int) -> tuple[list[int], list[int], int]:

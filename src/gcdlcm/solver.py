@@ -2,11 +2,14 @@
 with b preserves the gcd (or lcm) of everything.
 
 Pipeline: if b alone already attains the target, the answer is empty.
-Otherwise min-gcd instances are collapsed to a single set and reduced to
-minimum cover over the coprime basis; max-lcm instances build the basis of
-the whole union, mark the columns whose maximum exponent b already
-attains as pre-covered, and cover the rest. Cover solutions map back
-through owner maps (and the elimination section) to elements of a.
+Otherwise both modes go through the one attainment reduction of
+``reductions``. Max-lcm instances pass a and b to it as they are, so the
+columns whose maximum exponent b already attains leave the universe.
+Min-gcd instances first collapse b into a (``eliminate_b``, one gcd per
+element) and reduce the collapsed set alone: on circulant link pruning,
+where b holds the node count, the basis of all of a | b would cost tens
+of times the whole solve. Cover solutions map back through owner
+maps (and the elimination section) to elements of a.
 
 A subset enumerator capped at small sizes serves as the independent
 oracle for the whole pipeline.
@@ -18,15 +21,13 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from gcdlcm.basis import compute_basis, exponent_profile
 from gcdlcm.errors import CapExceededError, DomainError
 from gcdlcm.numeric import NatSet, gcd_set, lcm_set, natset
 from gcdlcm.reductions import (
     BEliminationMap,
     CoverReduction,
-    attainment_cover,
+    attainment_reduction,
     eliminate_b,
-    gcd_to_cover,
 )
 from gcdlcm.setcover import exact_cover, greedy_cover
 
@@ -76,32 +77,13 @@ def _mode_value(mode: str, values) -> int:
     return gcd_set(values) if mode == "min-gcd" else lcm_set(values)
 
 
-def _max_lcm_cover(a: NatSet, b: NatSet) -> CoverReduction:
-    """Cover reduction for max-lcm with a required set b.
-
-    Basis of the union; columns whose maximum exponent some element of b
-    attains need no covering and are dropped from the universe.
-    """
-    cb = compute_basis(a + b)
-    profile = exponent_profile(cb, "max")
-    b_members = set(b)
-    precovered: set[int] = set()
-    for x, row in zip(cb.source, cb.exponents):
-        if x in b_members:
-            for col, p in enumerate(cb.basis):
-                if row[col] == profile[p]:
-                    precovered.add(col)
-    universe_cols = [c for c in range(len(cb.basis)) if c not in precovered]
-    return attainment_cover(cb, universe_cols, profile, set(a))
-
-
 def reduce_instance(inst: ProblemInstance) -> tuple[CoverReduction, BEliminationMap | None]:
     """The cover reduction the solver searches, plus the elimination map
     used to collapse b (min-gcd only; None for max-lcm)."""
     if inst.mode == "min-gcd":
         bem = eliminate_b(inst.a, inst.b)
-        return gcd_to_cover(bem.reduced), bem
-    return _max_lcm_cover(inst.a, inst.b), None
+        return attainment_reduction(bem.reduced, (), "min"), bem
+    return attainment_reduction(inst.a, inst.b, "max"), None
 
 
 def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:

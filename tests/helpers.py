@@ -1,8 +1,9 @@
 """Shared oracles and process helpers for the test suite.
 
 The oracles here are deliberately independent of the library internals:
-plain exhaustive enumeration over subsets, and math.gcd/math.lcm for set
-values. Anything the solvers claim is checked against these.
+plain exhaustive enumeration over subsets, math.gcd/math.lcm for set
+values, and the all-pairs fixed point for coprime refinement. Anything
+the solvers claim is checked against these.
 """
 
 from __future__ import annotations
@@ -12,17 +13,22 @@ import subprocess
 import sys
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(
     *args: str, stdin: str | None = None, env: dict[str, str] | None = None
 ) -> subprocess.CompletedProcess:
+    """``python -m gcdlcm`` with this checkout's ``src`` first on the path."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "gcdlcm", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env={**os.environ, **env} if env else None,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
 
@@ -59,3 +65,33 @@ def exhaustive_min_cover(universe_size, sets):
             if need <= covered:
                 return size, combo
     return None
+
+
+def pairwise_refine(entries: set[int]) -> list[int]:
+    """Fixed point of pairwise splitting; returns an ascending coprime list.
+
+    The pair picked each step is the lexicographically first (by ascending
+    value order) with gcd > 1, and the scan restarts after every split.
+    Entries equal to 1 are dropped; equal values merge.
+    """
+    current = sorted(entries)
+    while True:
+        found = None
+        for i in range(len(current)):
+            for j in range(i + 1, len(current)):
+                h = gcd(current[i], current[j])
+                if h > 1:
+                    found = (current[i], current[j], h)
+                    break
+            if found:
+                break
+        if found is None:
+            return current
+        p, q, h = found
+        merged = set(current)
+        merged.discard(p)
+        merged.discard(q)
+        for v in (p // h, q // h, h):
+            if v > 1:
+                merged.add(v)
+        current = sorted(merged)

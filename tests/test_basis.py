@@ -15,8 +15,10 @@ from gcdlcm import (
     compute_basis,
     exponent_profile,
     gcd_set,
+    generate_instance,
     lcm_set,
 )
+from helpers import pairwise_refine
 
 
 def assert_valid_basis(cb):
@@ -110,3 +112,24 @@ def test_basis_invariants_high_exponents(values):
     cb = compute_basis(values)
     assert_valid_basis(cb)
     assert_profile_identities(cb)
+
+
+# values up to 1e12, plus products of small primes so that splits are common
+refinable = st.one_of(
+    st.integers(min_value=1, max_value=10**12),
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=10).map(math.prod),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(refinable, max_size=12))
+def test_basis_matches_pairwise_refinement(values):
+    expected = pairwise_refine({v for v in values if v > 1})
+    assert compute_basis(values).basis == tuple(expected)
+
+
+@pytest.mark.parametrize("count, max_value", [(500, 10**4), (300, 10**6), (200, 10**18)])
+def test_basis_matches_pairwise_refinement_on_generated_sets(count, max_value):
+    values = generate_instance(1, count, max_value).a
+    expected = pairwise_refine({v for v in values if v > 1})
+    assert compute_basis(values).basis == tuple(expected)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
+from gcdlcm.numeric import first_primes
 from helpers import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,6 +96,56 @@ def test_reduce_backward_infeasible_certificate():
     assert payload["infeasible"] is True
     assert payload["certificate"] == {"uncoverable_element": 1}
     assert "error" in r.stderr
+
+
+def test_reduce_backward_huge_universe_without_sets_fails_at_once():
+    doc = json.dumps({"universe_size": 10**12, "sets": []})
+    r = run_cli("reduce", "--direction", "backward", "--input", "-", stdin=doc)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["certificate"] == {"uncoverable_element": 0}
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift Python's int/str conversion limit (3.10.7 and later) in this
+    process, to check integers longer than 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_reduce_backward_target_over_4300_digits(unlimited_int_digits):
+    n = 1500
+    doc = json.dumps({"universe_size": n, "sets": [list(range(0, n, 2)), list(range(1, n, 2))]})
+    r = run_cli("reduce", "--direction", "backward", "--input", "-", "--mode", "max-lcm", stdin=doc)
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert len(payload["target"]) > 4300
+    assert int(payload["target"]) == math.prod(first_primes(n))
+
+
+def test_solve_target_over_4300_digits(unlimited_int_digits):
+    x, y = 10**3000 + 1, 10**3000 + 3
+    r = run_cli("solve", "--mode", "max-lcm", "-A", str(x), str(y))
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["S"] == [str(x), str(y)]
+    assert int(payload["target"]) == x * y
+
+
+def test_input_number_over_4300_digits():
+    big = "1" + "0" * 4999
+    r = run_cli("solve", "--input", "-", stdin='{"A": [%s, 6], "mode": "min-gcd"}' % big)
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["S"] == ["6", big]
+    assert payload["target"] == "2"
 
 
 def test_basis_golden():
