@@ -16,7 +16,7 @@ from gcdlcm.circulant import (
 )
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
 from gcdlcm.generate import SplitMix64, generate_instance
-from gcdlcm.numeric import NatSet, gcd_set, input_size, lcm_set, natset
+from gcdlcm.numeric import NatSet, gcd_set, lcm_set, natset
 from gcdlcm.reductions import (
     BEliminationMap,
     CoverImage,
@@ -84,7 +84,6 @@ __all__ = [
     "gcd_to_cover",
     "generate_instance",
     "greedy_cover",
-    "input_size",
     "is_connected_bfs",
     "is_connected_gcd",
     "kernel_backend",

@@ -26,7 +26,7 @@ class CirculantGraph:
     links: NatSet
 
     def __post_init__(self):
-        if not isinstance(self.node_count, int) or self.node_count < 1:
+        if type(self.node_count) is not int or self.node_count < 1:  # refuses bool
             raise DomainError(f"node count must be a positive int, got {self.node_count!r}")
         object.__setattr__(self, "links", natset(self.links))
 

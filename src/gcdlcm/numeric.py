@@ -1,4 +1,4 @@
-"""Integer set arithmetic, prime generation and input-size accounting.
+"""Integer set arithmetic and prime generation.
 
 All values are plain Python ints (arbitrary precision). Sets of positive
 integers are kept in canonical form: duplicate-free, ascending tuples, so
@@ -65,13 +65,3 @@ def _sieve(limit: int) -> list[int]:
             is_prime[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
     return [i for i in range(2, limit + 1) if is_prime[i]]
 
-
-def input_size(a: Iterable[int], b: Iterable[int] = ()) -> int:
-    """Total bit length of the union: sum of ceil(log2(x + 1)), each element
-    counted once even if listed in both sets."""
-    union = set(a) | set(b)
-    for v in union:
-        if v < 1:
-            raise DomainError(f"input-size elements must be >= 1, got {v}")
-    # ceil(log2(x + 1)) == x.bit_length() for x >= 1
-    return sum(v.bit_length() for v in union)

@@ -4,17 +4,17 @@ The universe is {0, ..., universe_size - 1}; sets are index lists, held
 as int bitmasks while solving. The greedy solver carries the classical
 harmonic-number guarantee |greedy| <= H(|X|) * OPT; the exact solver
 returns the lexicographically smallest index list among all minimum
-covers, so results are canonical and reproducible. The exact solver first
-kernelizes the instance with the classic set-cover data reductions (sets
-that add nothing, duplicate sets, forced sets) and then runs a two-phase
-branch-and-bound on the residual bitmasks only: a size search for the
-optimum, then a lexicographic search for the witness. Both searches keep
-their own stacks, so no depth of cover reaches the recursion limit.
+covers, so results are canonical. After the classic set-cover data
+reductions, one bounded search answers the optimum and the decision "at
+most k sets?"; the witness comes by self-reduction on that decision.
 """
 
 from __future__ import annotations
 
+import heapq
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from gcdlcm.errors import DomainError, InfeasibleError
 
@@ -28,16 +28,15 @@ class CoverInstance:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.universe_size, int) or self.universe_size < 0:
-            raise DomainError(f"universe size must be a nonnegative int, got {self.universe_size!r}")
+        n = self.universe_size
+        if type(n) is not int or n < 0:  # bool, a subclass of int, is refused
+            raise DomainError(f"universe size must be a nonnegative int, got {n!r}")
         canon = []
         for s in self.sets:
             t = tuple(sorted(set(s)))
             for e in t:
-                if not isinstance(e, int) or e < 0 or e >= self.universe_size:
-                    raise DomainError(
-                        f"set element {e!r} outside universe of size {self.universe_size}"
-                    )
+                if type(e) is not int or not 0 <= e < n:
+                    raise DomainError(f"set element {e!r} is not an int in range({n})")
             canon.append(t)
         object.__setattr__(self, "sets", tuple(canon))
 
@@ -74,10 +73,8 @@ def require_feasible(inst: CoverInstance, detail: str = "") -> list[int]:
 
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
-    """Greedy approximation; ties break to the lowest set index.
-
-    Optimal only when the answer has size 0 or 1; flagged accordingly.
-    """
+    """Greedy approximation; ties break to the lowest set index. Flagged
+    optimal only when the answer has size 0 or 1."""
     masks = require_feasible(inst)
     chosen = _greedy_order(masks, (1 << inst.universe_size) - 1)
     return CoverSolution(chosen=tuple(sorted(chosen)), is_optimal=len(chosen) <= 1)
@@ -87,62 +84,51 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
     """Minimum cover; among minimum covers, the lexicographically smallest
     index list. An empty universe is covered by the empty subfamily.
 
-    The search runs only on what ``_kernelize`` leaves uncovered: the live
-    sets restricted to the uncovered elements, which keep their bit
-    positions. Its witness maps back through the increasing list of live
-    set indices and joins the forced sets. Searching the restricted masks
-    in place gives the witness that renumbering the uncovered elements in
-    increasing order would give: renumbering changes no bit count and no
-    order between elements, so the branching element (fewest holders,
-    lowest on ties), every bound and every candidate order stay the same.
+    One bounded search, the witness by self-reduction (``_exact_search``)
+    on what ``_kernelize`` leaves, mapped back through the increasing live
+    indices and joined to the forced sets.
     """
     masks = require_feasible(inst)
     forced, live, uncovered = _kernelize(masks, (1 << inst.universe_size) - 1)
-    chosen = list(forced)
-    if uncovered:
-        residual = [masks[i] & uncovered for i in live]
-        chosen += (live[i] for i in _exact_search(residual, uncovered))
-    return CoverSolution(chosen=tuple(sorted(chosen)), is_optimal=True)
+    residual = _exact_search([masks[i] & uncovered for i in live], uncovered)
+    return CoverSolution(tuple(sorted(forced + [live[i] for i in residual])), is_optimal=True)
 
 
 def decide_cover(inst: CoverInstance, k: int) -> bool:
-    """Is there a cover of size <= k? Infeasible instances answer no."""
-    if k < 0:
-        return False
+    """Is there a cover of size <= k? Infeasible instances answer no.
+    The same bounded search, asked for k sets and no witness."""
     try:
-        return exact_cover(inst).size <= k
+        masks = require_feasible(inst)
     except InfeasibleError:
         return False
+    return _kernel_cover(masks, (1 << inst.universe_size) - 1, k) is not None
 
 
 def _kernelize(masks: list[int], full: int) -> tuple[list[int], list[int], int]:
     """Apply the set-cover data reductions to a fixpoint on the bitmasks
     of a feasible instance over the elements of ``full``. Returns
-    (forced, live, uncovered): the set indices every canonical cover takes, the increasing indices of the sets the search
-    still has to choose from, and the bitmask of the elements the forced
-    sets leave uncovered (0 when they cover everything).
+    (forced, live, uncovered): the set indices every canonical cover
+    takes, the increasing indices of the sets still to choose from, and
+    the elements the forced sets leave uncovered (0 when none).
 
     Each round restricts the live sets to the uncovered elements and
       1. drops a set that adds nothing there,
       2. keeps only the lowest index among sets equal there,
       3. takes every set holding an element no other live set holds.
 
-    None of the rules changes the lexicographically smallest minimum
-    cover W (sorted index lists; of two lists of equal length, the smaller
-    is the one holding the least index of their symmetric difference):
+    None of the rules changes the optimum or the lexicographically
+    smallest minimum cover W (of two sorted index lists of equal length,
+    the smaller holds the least index of their symmetric difference):
       - A forced set lies in every cover built from live sets, and W is
         built from live sets (below), so it lies in W.
-      - Every minimum cover contains the forced sets, so a set adding
-        nothing beyond them would be redundant in it: no minimum cover
-        holds one.
-      - If sets i < j agree on the uncovered elements and a minimum cover
-        holds j, it cannot hold i too (j would be redundant), and swapping
-        j for i gives a minimum cover whose sorted list is
-        lexicographically smaller. So W never holds j.
-    With the forced sets F fixed, two minimum covers F + R and F + R'
-    differ exactly where R and R' do, so W is F plus the canonical cover
-    of the residual instance. Live indices map back in increasing order,
-    which keeps that order too.
+      - Every minimum cover holds the forced sets, so none holds a set
+        adding nothing beyond them: it would be redundant.
+      - If sets i < j agree on the uncovered elements, a minimum cover
+        holding j holds no i (j would be redundant), and swapping j for
+        i gives a lexicographically smaller one. So W never holds j.
+    With the forced sets F fixed, minimum covers F + R and F + R' differ
+    where R and R' do, so W is F plus the canonical cover of the residual,
+    whose live indices map back in increasing order.
     """
     uncovered = full
     live = list(range(len(masks)))
@@ -171,64 +157,89 @@ def _kernelize(masks: list[int], full: int) -> tuple[list[int], list[int], int]:
 def _greedy_order(masks: list[int], full: int) -> list[int]:
     """Repeatedly pick the set covering the most uncovered elements of
     ``full``; ties break to the lowest set index. Returns indices in pick
-    order."""
+    order. Gains only fall, so a heap of stale (-gain, index) entries
+    picks the same set once its top is fresh."""
+    heap = [(-m.bit_count(), i) for i, m in enumerate(masks)]
+    heapq.heapify(heap)
     covered = 0
     chosen: list[int] = []
     while covered != full:
-        best_i = -1
-        best_gain = 0
-        for i, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        chosen.append(best_i)
-        covered |= masks[best_i]
+        _, i = heapq.heappop(heap)
+        top = (-(masks[i] & ~covered).bit_count(), i)
+        if heap and top > heap[0]:
+            heapq.heappush(heap, top)
+        else:
+            chosen.append(i)
+            covered |= masks[i]
     return chosen
+
+
+def _kernel_cover(masks: list[int], full: int, k: int) -> list[int] | None:
+    """``_min_cover`` behind ``_kernelize``, forced sets included."""
+    forced, live, uncovered = _kernelize(masks, full)
+    if len(forced) > k:
+        return None
+    rest = _min_cover([masks[i] & uncovered for i in live], uncovered, k - len(forced))
+    return None if rest is None else forced + [live[i] for i in rest]
 
 
 def _exact_search(masks: list[int], full: int) -> list[int]:
     """Lexicographically smallest minimum cover of ``full`` by sets within
-    it. Greedy gives an upper bound, a branch-and-bound on the uncovered
-    element held by the fewest sets gives the optimal size, and a
-    lexicographic depth-first search at that size gives the witness."""
+    it, by self-reduction on the one bounded search ``_min_cover``.
+
+    ``_min_cover`` gives a minimum cover C, of s sets; the witness W is
+    fixed one position at a time. With W[:p] fixed and C[p:] covering the
+    rest, each j > W[p - 1] whose later sets cover what it leaves with
+    s - p - 1 sets (no fewer can) starts a minimum cover, and a smaller
+    p-th index is lexicographically smaller whatever follows: W[p] is the
+    least such j. C[p] is one, so only j < C[p] are decided, and a yes
+    replaces C[p:] by j and the cover found. A j adding nothing would
+    leave s - 1 sets, so it is skipped. Each decision asks whether the
+    later sets cover the rest and whether their largest could in time,
+    then runs ``_kernel_cover`` (``_kernelize`` keeps the optimum).
+    """
     if not full:
         return []
-    ub = len(_greedy_order(masks, full))
-    size = _min_cover_size(masks, full, ub)
-    return _lex_min_cover(masks, full, size)
+    suffix_union = list(accumulate(reversed(masks), int.__or__, initial=0))[::-1]
+    suffix_maxbits = list(accumulate(map(int.bit_count, reversed(masks)), max, initial=0))[::-1]
+    cover = sorted(_min_cover(masks, full, len(masks)))  # cover[:p] is final
+    covered = 0
+    for p in range(len(cover)):
+        left = len(cover) - p - 1  # sets after the one position p takes
+        for j in range(cover[p - 1] + 1 if p else 0, cover[p]):
+            rest = full & ~(covered | masks[j])
+            fits = rest.bit_count() <= left * suffix_maxbits[j + 1]
+            if fits and masks[j] & ~covered and not rest & ~suffix_union[j + 1]:
+                found = _kernel_cover(masks[j + 1 :], rest, left)
+                if found is not None:
+                    cover[p:] = [j] + sorted(j + 1 + i for i in found)
+                    break
+        covered |= masks[cover[p]]
+    return cover
 
 
-def _min_cover_size(masks: list[int], full: int, ub: int) -> int:
-    if -(-full.bit_count() // max(m.bit_count() for m in masks)) >= ub:
-        return ub  # the root's lower bound already meets the greedy cover
-    num_sets = len(masks)
-    holders: list[list[int]] = [[] for _ in range(full.bit_length())]  # element -> sets
-    for i, m in enumerate(masks):
-        for e, bit in enumerate(bin(m)[:1:-1]):  # bit 0 first
-            if bit == "1":
-                holders[e].append(i)
-    best = ub
+def _min_cover(masks: list[int], full: int, k: int) -> list[int] | None:
+    """A smallest cover of ``full`` by at most ``k`` of the sets, which lie
+    within it and cover it; None when every cover needs more. Greedy gives
+    the first incumbent. The branch-and-bound branches on the first element
+    ``_packing`` keeps, tries its holders by decreasing gain, skips one
+    whose gain a tried sibling's contains, and bounds every node by the
+    packing."""
+    if not full:
+        return []
+    greedy = _greedy_order(masks, full)
+    best = greedy if len(greedy) <= k else None
+    limit = min(len(greedy), k + 1)  # search for covers below this size
+    if -(-full.bit_count() // max(m.bit_count() for m in masks)) >= limit:
+        return best  # the root's cheap bound already meets the limit
+    holders, packing = _packing(masks, full)
 
     def children(covered: int, depth: int):
-        """Yield the coverage of each child of this node worth searching;
-        the bound is checked again each time a child's search returns."""
+        # yield (set, coverage) per child, checking the bound again after each
         rem = full & ~covered
-        maxgain = max((m & rem).bit_count() for m in masks)
-        need = -(-rem.bit_count() // maxgain)
-        if depth + need >= best:
+        need, x = packing(rem, limit - depth)
+        if depth + need >= limit:
             return
-        # branch on the uncovered element in the fewest sets; ties: lowest element
-        x = -1
-        fewest = num_sets + 1
-        r = rem
-        while r:
-            low = r & -r
-            e = low.bit_length() - 1
-            if len(holders[e]) < fewest:
-                fewest = len(holders[e])
-                x = e
-            r ^= low
         cands = sorted(holders[x], key=lambda i: (-(masks[i] & rem).bit_count(), i))
         tried: list[int] = []
         for i in cands:
@@ -236,59 +247,58 @@ def _min_cover_size(masks: list[int], full: int, ub: int) -> int:
             if any(g & ~t == 0 for t in tried):
                 continue  # gain dominated by a sibling already explored
             tried.append(g)
-            yield covered | masks[i]
-            if depth + need >= best:
+            yield i, covered | masks[i]
+            if depth + need >= limit:
                 return
 
-    # an explicit stack of open nodes keeps deep covers off the recursion limit
-    stack = [children(0, 0)]
+    # a stack of (open node, set leading to it) keeps off the recursion limit
+    stack = [(children(0, 0), -1)]
     while stack:
-        covered = next(stack[-1], None)
-        if covered is None:
+        step = next(stack[-1][0], None)
+        if step is None:
             stack.pop()
-        elif covered == full:
-            best = min(best, len(stack))
+        elif step[1] == full:
+            best = [i for _, i in stack[1:]] + [step[0]]
+            limit = len(best)
         else:
-            stack.append(children(covered, len(stack)))
+            stack.append((children(step[1], len(stack)), step[0]))
     return best
 
 
-def _lex_min_cover(masks: list[int], full: int, size: int) -> list[int]:
-    num_sets = len(masks)
-    suffix_union = [0] * (num_sets + 1)
-    suffix_maxbits = [0] * (num_sets + 1)
-    for i in range(num_sets - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | masks[i]
-        suffix_maxbits[i] = max(suffix_maxbits[i + 1], masks[i].bit_count())
+def _packing(masks: list[int], full: int):
+    """The element -> holding sets index, and the packing lower bound.
 
-    def viable(start: int, covered: int, left: int) -> bool:
-        """Can ``left`` more sets from ``start`` on complete ``covered``?"""
-        return (
-            left > 0
-            and covered | suffix_union[start] == full
-            and (full & ~covered).bit_count() <= left * suffix_maxbits[start]
-        )
+    ``bound(rem, stop)`` takes the elements of ``rem`` by fewest holders
+    (lowest on ties) and keeps one when none of its holders holds a kept
+    element. Each kept element needs a set of its own (they are a feasible
+    solution of the dual of the set-cover LP), so it returns their count,
+    stopping at ``stop``, and the first kept element.
+    """
+    holders: list[list[int]] = [[] for _ in range(full.bit_length())]
+    reach = [0] * full.bit_length()  # element -> union of the sets holding it
+    for i, m in enumerate(masks):
+        for one in re.finditer("1", bin(m)[:1:-1]):  # bit 0 first
+            holders[one.start()].append(i)
+            reach[one.start()] |= m
+    by_count: dict[int, int] = {}  # holder count -> bitmask of the elements
+    for e, hs in enumerate(holders):
+        by_count[len(hs)] = by_count.get(len(hs), 0) | 1 << e
+    groups = [by_count[c] for c in sorted(by_count)]
 
-    def children(start: int, covered: int):
-        for i in range(start, num_sets):
-            if masks[i] & ~covered:  # minimum covers never include a set adding nothing
-                yield i, covered | masks[i]
+    def bound(rem: int, stop: int) -> tuple[int, int]:
+        need = 0
+        dead = 0  # elements sharing a set with a kept element
+        x = -1
+        for g in groups:
+            r = rem & g & ~dead
+            while r:
+                e = (r & -r).bit_length() - 1
+                x = e if x < 0 else x
+                need += 1
+                if need >= stop:
+                    return need, x
+                dead |= reach[e]
+                r &= ~dead
+        return need, x
 
-    # depth-first over increasing index lists, so the first cover found is
-    # the lexicographically smallest one of this size
-    chosen: list[int] = []  # chosen[d] leads from stack[d] to stack[d + 1]
-    stack = [children(0, 0)] if viable(0, 0, size) else []
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        i, covered = step
-        if covered == full:
-            return chosen + [i]
-        if viable(i + 1, covered, size - len(stack)):
-            chosen.append(i)
-            stack.append(children(i + 1, covered))
-    raise RuntimeError("internal: lexicographic search missed the known optimum")
+    return holders, bound

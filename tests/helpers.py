@@ -1,9 +1,10 @@
 """Shared oracles and process helpers for the test suite.
 
 The oracles here are deliberately independent of the library internals:
-plain exhaustive enumeration over subsets, math.gcd/math.lcm for set
-values, and the all-pairs fixed point for coprime refinement. Anything
-the solvers claim is checked against these.
+plain exhaustive enumeration over subsets (whole, or per connected
+component of a cover), math.gcd/math.lcm for set values, the all-pairs
+fixed point for coprime refinement, and the bit size of an input.
+Anything the solvers claim is checked against these.
 """
 
 from __future__ import annotations
@@ -65,6 +66,53 @@ def exhaustive_min_cover(universe_size, sets):
             if need <= covered:
                 return size, combo
     return None
+
+
+def componentwise_min_cover(universe_size, sets):
+    """``exhaustive_min_cover`` run on each connected component (sets
+    sharing an element are connected) and joined.
+
+    A cover is a cover of every component, so the optima add up. Two
+    minimum covers differ exactly where their parts differ, so the least
+    index of their symmetric difference lies in one component: the join
+    of the components' lexicographically smallest minimum covers is the
+    lexicographically smallest minimum cover of the whole.
+    """
+    root = list(range(len(sets)))  # union-find over set indices
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    holder = {}
+    for i, s in enumerate(sets):
+        for e in s:
+            root[find(i)] = find(holder.setdefault(e, i))
+    if len(holder) < universe_size:
+        return None
+    components = {}
+    for i in range(len(sets)):
+        components.setdefault(find(i), []).append(i)
+    size, witness = 0, []
+    for members in components.values():
+        label = {e: k for k, e in enumerate(sorted({e for i in members for e in sets[i]}))}
+        part = exhaustive_min_cover(len(label), [[label[e] for e in sets[i]] for i in members])
+        size += part[0]
+        witness += (members[i] for i in part[1])
+    return size, tuple(sorted(witness))
+
+
+def input_size(a, b=()) -> int:
+    """Total bit length of the union: sum of ceil(log2(x + 1)), each element
+    counted once even if listed in both sets."""
+    union = set(a) | set(b)
+    for v in union:
+        if v < 1:
+            raise ValueError(f"input-size elements must be >= 1, got {v}")
+    # ceil(log2(x + 1)) == x.bit_length() for x >= 1
+    return sum(v.bit_length() for v in union)
 
 
 def pairwise_refine(entries: set[int]) -> list[int]:

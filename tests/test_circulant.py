@@ -31,6 +31,8 @@ def test_graph_validation():
     with pytest.raises(DomainError):
         graph(5, [0])
     assert graph(1, []).links == ()
+    with pytest.raises(DomainError, match="node count"):
+        graph(True, [1])  # True == 1, but a node count is no bool
 
 
 def test_connectivity_examples():

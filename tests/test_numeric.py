@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdlcm import DomainError, gcd_set, input_size, lcm_set, natset
+from gcdlcm import DomainError, gcd_set, lcm_set, natset
 from gcdlcm.numeric import first_primes
+from helpers import input_size
 
 
 def test_natset_sorts_and_dedups():
@@ -67,5 +68,5 @@ def test_input_size_counts_union_once():
     assert input_size([6, 10], [10, 15]) == input_size([6, 10, 15])
     assert input_size([1]) == 1
     assert input_size([6, 10, 15]) == 3 + 4 + 4
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         input_size([0])

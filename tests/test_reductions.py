@@ -19,10 +19,9 @@ from gcdlcm import (
     exact_cover,
     gcd_set,
     gcd_to_cover,
-    input_size,
     lcm_to_cover,
 )
-from helpers import exhaustive_min_cover, exhaustive_min_subset, set_value
+from helpers import exhaustive_min_cover, exhaustive_min_subset, input_size, set_value
 
 nat_sets = st.lists(st.integers(min_value=1, max_value=10**4), min_size=1, max_size=8)
 

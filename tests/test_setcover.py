@@ -15,10 +15,12 @@ from gcdlcm import (
     InfeasibleError,
     decide_cover,
     exact_cover,
+    generate_instance,
     greedy_cover,
+    reduce_instance,
 )
 from gcdlcm import setcover
-from helpers import exhaustive_min_cover
+from helpers import componentwise_min_cover, exhaustive_min_cover
 
 
 def inst(universe_size, *sets):
@@ -37,6 +39,15 @@ def test_rejects_out_of_range_elements():
         inst(1, [-1])
     with pytest.raises(DomainError):
         CoverInstance(universe_size=-1, sets=())
+
+
+def test_rejects_bools():
+    # True == 1 passes an isinstance(_, int) check, and the JSON form of
+    # such an instance would hold `true` where a number belongs
+    with pytest.raises(DomainError):
+        inst(2, [True, 0])
+    with pytest.raises(DomainError):
+        CoverInstance(universe_size=True, sets=((0,),))
 
 
 def test_empty_universe_needs_no_sets():
@@ -139,6 +150,9 @@ def test_exact_matches_exhaustive_oracle(ci):
     masks = [sum(1 << e for e in s) for s in ci.sets]
     full = (1 << ci.universe_size) - 1
     assert sol.chosen == tuple(setcover._exact_search(masks, full))
+    # the packing lower bound at the root never exceeds the optimum
+    _, packing = setcover._packing(masks, full)
+    assert packing(full, len(masks) + 1)[0] <= size
     assert decide_cover(ci, size)
     assert not decide_cover(ci, size - 1)
 
@@ -189,5 +203,22 @@ _TRAPPED_CYCLE = _TRAP + tuple((6 + a, 6 + b) for a, b in _CYCLE)
 )
 def test_exact_cover_deep_search_without_forced_sets(ci, witness):
     # cycles of pairs {i, i + 1 mod 2100}: nothing is forced, and the
-    # searches go more than 1050 sets deep, past the default recursion limit
+    # search goes more than 1050 sets deep, past the default recursion limit
     assert exact_cover(ci).chosen == witness
+
+
+def test_exact_cover_matches_componentwise_oracle_on_a_large_residual():
+    # what kernelization leaves of a 1000-value max-lcm cover: 17 connected
+    # components of at most 17 sets, each small enough to enumerate
+    cover = reduce_instance(generate_instance(1, 1000, 10**6, mode="max-lcm", b_count=2))[0].cover
+    masks = setcover.require_feasible(cover)
+    _, live, uncovered = setcover._kernelize(masks, (1 << cover.universe_size) - 1)
+    kept = [e for e in range(cover.universe_size) if uncovered >> e & 1]
+    label = {e: k for k, e in enumerate(kept)}
+    residual = CoverInstance(
+        len(label), tuple(tuple(label[e] for e in cover.sets[i] if e in label) for i in live)
+    )
+    assert len(residual.sets) > 80
+    size, witness = componentwise_min_cover(residual.universe_size, residual.sets)
+    assert exact_cover(residual).chosen == witness
+    assert decide_cover(residual, size) and not decide_cover(residual, size - 1)

@@ -71,6 +71,50 @@ SEEDED_MAX_LCM_PINS = [
         3776, 3907, 3972, 4034, 4402, 4533, 4546, 4829, 4961, 5065, 5167, 5439, 5683, 6766, 6773,
         6796, 7337, 8059, 8224, 8300, 8776, 9173, 9714, 9720, 9723, 9944,
     )),
+    # 613 of 3000 values, out of a 21 x 47 residual left by kernelization
+    ((1, 3000, 0), (
+        101, 131, 157, 173, 181, 191, 193, 197, 241, 254, 263, 269, 281, 283, 349, 358, 359, 379,
+        383, 453, 458, 467, 479, 487, 489, 502, 542, 571, 587, 593, 599, 619, 626, 641, 673, 691,
+        694, 706, 709, 734, 746, 751, 787, 794, 796, 811, 818, 821, 835, 853, 859, 887, 898, 908,
+        922, 971, 991, 997, 1006, 1019, 1031, 1051, 1063, 1082, 1091, 1103, 1153, 1165, 1167, 1193,
+        1195, 1202, 1213, 1226, 1228, 1234, 1237, 1285, 1293, 1294, 1307, 1321, 1327, 1338, 1348,
+        1402, 1423, 1429, 1433, 1439, 1444, 1451, 1459, 1465, 1538, 1543, 1546, 1553, 1555, 1571,
+        1594, 1597, 1601, 1604, 1618, 1662, 1669, 1676, 1689, 1697, 1707, 1726, 1733, 1787, 1801,
+        1807, 1874, 1877, 1879, 1894, 1901, 1906, 1922, 1979, 1997, 1999, 2003, 2017, 2018, 2027,
+        2029, 2031, 2039, 2063, 2066, 2069, 2129, 2131, 2143, 2161, 2165, 2203, 2213, 2219, 2243,
+        2246, 2273, 2281, 2287, 2311, 2317, 2342, 2357, 2383, 2389, 2393, 2428, 2458, 2487, 2521,
+        2554, 2557, 2558, 2572, 2591, 2601, 2602, 2609, 2631, 2638, 2645, 2657, 2658, 2659, 2677,
+        2704, 2732, 2741, 2744, 2757, 2787, 2797, 2803, 2809, 2819, 2854, 2885, 2887, 2906, 2927,
+        2931, 2956, 2969, 2978, 2986, 3001, 3049, 3061, 3063, 3118, 3134, 3137, 3155, 3158, 3163,
+        3187, 3203, 3207, 3217, 3254, 3257, 3265, 3271, 3292, 3307, 3314, 3319, 3327, 3343, 3351,
+        3356, 3359, 3361, 3368, 3391, 3433, 3449, 3457, 3469, 3482, 3512, 3529, 3547, 3566, 3593,
+        3595, 3617, 3631, 3635, 3646, 3659, 3662, 3671, 3693, 3698, 3733, 3739, 3777, 3778, 3779,
+        3785, 3793, 3803, 3829, 3849, 3863, 3866, 3867, 3877, 3881, 3891, 3898, 3911, 3923, 3928,
+        3931, 3946, 3947, 3992, 4001, 4022, 4052, 4072, 4083, 4107, 4119, 4129, 4135, 4156, 4178,
+        4197, 4222, 4226, 4229, 4241, 4244, 4274, 4285, 4297, 4306, 4327, 4337, 4349, 4373, 4405,
+        4414, 4423, 4442, 4443, 4447, 4456, 4463, 4493, 4517, 4523, 4535, 4538, 4604, 4618, 4627,
+        4637, 4643, 4673, 4682, 4742, 4759, 4804, 4821, 4831, 4846, 4882, 4892, 4915, 4931, 4951,
+        4967, 4987, 4999, 5003, 5006, 5021, 5041, 5046, 5051, 5062, 5079, 5113, 5164, 5186, 5201,
+        5210, 5233, 5241, 5259, 5261, 5294, 5324, 5327, 5331, 5333, 5347, 5387, 5399, 5414, 5426,
+        5433, 5458, 5462, 5465, 5468, 5519, 5527, 5534, 5556, 5557, 5573, 5583, 5591, 5639, 5647,
+        5651, 5714, 5739, 5741, 5753, 5758, 5783, 5788, 5801, 5802, 5807, 5827, 5869, 5878, 5879,
+        5881, 5931, 5932, 5948, 5953, 5961, 5979, 6011, 6022, 6053, 6079, 6089, 6091, 6121, 6159,
+        6199, 6203, 6217, 6247, 6269, 6311, 6359, 6373, 6389, 6442, 6491, 6502, 6553, 6597, 6598,
+        6599, 6627, 6637, 6646, 6661, 6673, 6689, 6733, 6737, 6742, 6746, 6836, 6841, 6855, 6857,
+        6863, 6883, 6926, 6934, 6962, 6967, 6999, 7027, 7034, 7036, 7043, 7053, 7082, 7109, 7121,
+        7122, 7162, 7187, 7197, 7211, 7237, 7246, 7288, 7290, 7297, 7302, 7341, 7346, 7349, 7369,
+        7377, 7382, 7401, 7402, 7411, 7431, 7481, 7517, 7522, 7538, 7541, 7573, 7603, 7643, 7647,
+        7649, 7669, 7673, 7681, 7702, 7706, 7753, 7838, 7873, 7901, 7933, 7937, 7949, 7957, 7978,
+        7993, 8014, 8017, 8026, 8042, 8049, 8067, 8069, 8087, 8093, 8101, 8105, 8133, 8137, 8167,
+        8185, 8186, 8192, 8231, 8287, 8291, 8306, 8329, 8348, 8363, 8367, 8369, 8396, 8403, 8438,
+        8469, 8486, 8495, 8499, 8501, 8511, 8513, 8537, 8539, 8546, 8578, 8581, 8597, 8599, 8623,
+        8647, 8651, 8678, 8689, 8699, 8707, 8747, 8782, 8863, 8887, 8945, 8948, 8971, 9026, 9038,
+        9043, 9049, 9066, 9089, 9094, 9098, 9121, 9122, 9161, 9179, 9182, 9203, 9227, 9242, 9277,
+        9278, 9293, 9311, 9337, 9357, 9358, 9375, 9379, 9403, 9409, 9419, 9442, 9461, 9466, 9497,
+        9498, 9523, 9533, 9535, 9543, 9551, 9587, 9602, 9623, 9627, 9629, 9634, 9643, 9722, 9733,
+        9754, 9755, 9759, 9767, 9777, 9781, 9787, 9817, 9818, 9857, 9859, 9863, 9886, 9887, 9914,
+        9923, 9938, 9993,
+    )),
 ]
 
 
