@@ -7,6 +7,10 @@ natural coprime base, at which every refinement by gcd splits ends,
 whatever the order of the splits, so the result is deterministic. It is
 built from a worklist that splits each new value against a
 pairwise-coprime list, without rescanning pairs already known coprime.
+The list sits in the leaves of a product tree, so finding an entry that
+shares a factor with a value takes O(log |list|) gcds, not a scan of the
+list. Exponents come from trial division of each element by the basis,
+which stops once the element is used up.
 """
 
 from __future__ import annotations
@@ -42,27 +46,84 @@ def _refine(values: Iterable[int]) -> list[int]:
 
     A worklist feeds a pairwise-coprime list. A value coprime to every
     listed entry joins the list; a value x sharing h > 1 with a listed p
-    takes p out and sends x // h, p // h and h back to the worklist (parts
-    equal to 1 are dropped). Each split shrinks the product of list and
+    takes p out and sends x // h, p // h and h back to the worklist, where
+    h = gcd(x, p) (parts equal to 1 are dropped). A value equal to a
+    listed entry is skipped, through a set of the listed values: its split
+    would only send it back. Each split shrinks the product of list and
     worklist by h, so the loop ends, and every value stays a product of
-    powers of what is listed. The result does not depend on the order of
-    the splits: a set's natural coprime base is unique (Bernstein,
-    "Factoring into coprimes in essentially linear time", J. Algorithms
-    54, 2005).
+    powers of what is listed.
+
+    The result does not depend on the order of the splits. The natural
+    coprime base N of the values is the coprime base whose entries are
+    products of powers of the entries of every coprime base of the values
+    (Bernstein, "Factoring into coprimes in essentially linear time",
+    J. Algorithms 54, 2005). Every value ever listed or waiting is a
+    product of powers of N, since gcds and quotients of such products
+    are. So the final list and N each factor over the other; two coprime
+    sets that do are equal.
+
+    The list lives in the leaves of a product tree, stored as a heap:
+    ``tree[1]`` is the root, node i has children 2i and 2i + 1, the
+    ``cap`` leaves are ``tree[cap:]`` (1 for a free slot), and every
+    other node is the product of its children. A value coprime to the
+    root takes a free leaf and multiplies every node above it; a full tree
+    doubles, the old one becoming the left subtree of the new root and
+    its right subtree all ones. Any other value x walks down from the
+    root, one gcd per level, holding g = gcd(x, node): the entries are
+    pairwise coprime, so g is the product of gcd(x, q) over the entries q
+    below the node. It goes left, to gcd(g, left child), when that is
+    above 1, and right otherwise, where g is unchanged. It ends at an
+    entry p with g = gcd(x, p) = h, and frees the leaf by dividing its
+    path by p.
     """
-    coprime: list[int] = []
+    gcd = math.gcd
+    cap = 1
+    tree = [0, 1]
+    free = [0]
+    listed: set[int] = set()
     work = list(values)
     while work:
         x = work.pop()
-        for k, p in enumerate(coprime):
-            h = math.gcd(x, p)
-            if h > 1:
-                del coprime[k]
-                work.extend(v for v in (x // h, p // h, h) if v > 1)
-                break
-        else:
-            coprime.append(x)
-    return sorted(coprime)
+        if x in listed:
+            continue
+        g = gcd(x, tree[1])
+        if g == 1:
+            if not free:
+                grown = [0, tree[1]]
+                width = 1
+                while width <= cap:
+                    grown += tree[width : 2 * width]
+                    grown += [1] * width
+                    width <<= 1
+                tree = grown
+                free = list(range(2 * cap - 1, cap - 1, -1))
+                cap <<= 1
+            i = cap + free.pop()
+            while i:
+                tree[i] *= x
+                i >>= 1
+            listed.add(x)
+            continue
+        i = 1
+        while i < cap:
+            i <<= 1
+            shared = gcd(g, tree[i])
+            if shared > 1:
+                g = shared
+            else:
+                i += 1
+        p = tree[i]
+        free.append(i - cap)
+        while i:
+            tree[i] //= p
+            i >>= 1
+        listed.remove(p)
+        if x != g:
+            work.append(x // g)
+        if p != g:
+            work.append(p // g)
+        work.append(g)
+    return sorted(listed)
 
 
 def compute_basis(a: Iterable[int]) -> CoprimeBasis:
@@ -70,20 +131,25 @@ def compute_basis(a: Iterable[int]) -> CoprimeBasis:
 
     Elements equal to 1 get an all-zero exponent row and never enter the
     refinement. Every other element is a product of powers of the basis,
-    so one pass of division extracts its exponents.
+    so one pass of division extracts its exponents; the pass stops once
+    the element is used up.
     """
     source = natset(a)
     basis = tuple(_refine(v for v in source if v > 1))
     rows: list[tuple[int, ...]] = []
     for v in source:
-        row = []
+        row = [0] * len(basis)
         rem = v
-        for p in basis:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            row.append(e)
+        if rem > 1:
+            for col, p in enumerate(basis):
+                if rem % p == 0:
+                    e = 0
+                    while rem % p == 0:
+                        rem //= p
+                        e += 1
+                    row[col] = e
+                    if rem == 1:
+                        break
         if rem != 1:
             raise RuntimeError("internal: an element is not a product of basis powers")
         rows.append(tuple(row))
@@ -101,7 +167,4 @@ def exponent_profile(cb: CoprimeBasis, stat: str) -> dict[int, int]:
     if not cb.source:
         raise DomainError("exponent profile of an empty set does not exist")
     agg = max if stat == "max" else min
-    return {
-        p: agg(row[col] for row in cb.exponents)
-        for col, p in enumerate(cb.basis)
-    }
+    return dict(zip(cb.basis, map(agg, zip(*cb.exponents))))

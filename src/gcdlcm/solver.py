@@ -29,7 +29,7 @@ from gcdlcm.reductions import (
     attainment_reduction,
     eliminate_b,
 )
-from gcdlcm.setcover import exact_cover, greedy_cover
+from gcdlcm.setcover import decide_cover, exact_cover, greedy_cover
 
 MODES = ("min-gcd", "max-lcm")
 BRUTE_FORCE_CAP = 20
@@ -122,10 +122,21 @@ def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:
 
 
 def decide(inst: ProblemInstance, k: int) -> bool:
-    """Is there S within a, |S| <= k, attaining the target together with b?"""
+    """Is there S within a, |S| <= k, attaining the target together with b?
+
+    The shortcuts of ``solve``, then the bounded cover search asked for k
+    sets, with no witness.
+    """
     if k < 0:
         raise DomainError(f"subset size bound must be nonnegative, got {k}")
-    return solve(inst, "exact").size <= k
+    target = _mode_value(inst.mode, inst.a + inst.b)
+    if _mode_value(inst.mode, inst.b) == target:
+        return True
+    red, _ = reduce_instance(inst)
+    if red.cover.universe_size == 0:
+        # b misses the target, so S is not empty; one element suffices
+        return k >= 1
+    return decide_cover(red.cover, k)
 
 
 def brute_force(inst: ProblemInstance, cap: int = BRUTE_FORCE_CAP) -> SubsetSolution:

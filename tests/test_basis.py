@@ -133,3 +133,46 @@ def test_basis_matches_pairwise_refinement_on_generated_sets(count, max_value):
     values = generate_instance(1, count, max_value).a
     expected = pairwise_refine({v for v in values if v > 1})
     assert compute_basis(values).basis == tuple(expected)
+
+
+# products of 1-3 powers (exponents 1-3) of a pool of 20 primes share
+# factors often, so values split deep in the product tree, the tree
+# doubles several times and freed slots are taken again
+PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+prime_power_products = st.lists(
+    st.tuples(st.sampled_from(PRIME_POOL), st.integers(min_value=1, max_value=3)),
+    min_size=1,
+    max_size=3,
+).map(lambda factors: math.prod(p**e for p, e in factors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(prime_power_products, st.integers(min_value=1, max_value=10**12)),
+        max_size=40,
+    ).map(lambda values: values + values[::4])
+)
+def test_basis_matches_pairwise_refinement_on_shared_prime_powers(values):
+    cb = compute_basis(values)
+    assert cb.basis == tuple(pairwise_refine({v for v in values if v > 1}))
+    assert_valid_basis(cb)
+    if cb.source:
+        assert_profile_identities(cb)
+
+
+def test_refinement_gcd_calls_grow_with_the_log_of_the_basis(monkeypatch):
+    # a scan of the whole coprime list per value made 2,176 calls per
+    # value here; a descent of the product tree makes about 24
+    values = generate_instance(1, 2000, 10**4).a
+    calls = 0
+    real_gcd = math.gcd
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real_gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting)
+    compute_basis(values)
+    assert calls <= 100 * sum(v > 1 for v in values)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcdlcm.solver as solver_module
 from gcdlcm import (
     BRUTE_FORCE_CAP,
     CapExceededError,
@@ -151,8 +152,44 @@ def test_decide_examples():
     assert not decide(mk([6, 10, 15]), 2)
     assert decide(mk([4, 9, 6]), 2)
     assert decide(mk([4], [8], mode="max-lcm"), 0)
+    # b misses gcd 1 and every element collapses to 1: the reduced
+    # universe is empty, yet S must hold one element
+    assert not decide(mk([5, 7], [6]), 0)
+    assert decide(mk([5, 7], [6]), 1)
     with pytest.raises(DomainError):
         decide(mk([6]), -1)
+
+
+def test_decide_finds_no_witness(monkeypatch):
+    def no_witness(inst):
+        raise AssertionError("decide asked for a witness")
+
+    monkeypatch.setattr(solver_module, "exact_cover", no_witness)
+    assert not decide(mk([6, 10, 15]), 2)
+    assert decide(mk([6, 10, 15]), 3)
+    inst = generate_instance(1, 60, 10**4, mode="max-lcm", b_count=2)
+    assert decide(inst, len(inst.a))
+    assert not decide(inst, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, count, max_value, mode, b_count",
+    [
+        (1, 40, 10**4, "min-gcd", 0),
+        (2, 40, 10**4, "min-gcd", 2),  # b alone attains the target
+        (2, 25, 10**3, "min-gcd", 1),  # empty reduced universe
+        (4, 25, 10**3, "min-gcd", 1),
+        (1, 60, 10**4, "max-lcm", 0),
+        (2, 45, 10**4, "max-lcm", 2),
+        (3, 200, 10**6, "max-lcm", 2),
+    ],
+)
+def test_decide_agrees_with_solve(seed, count, max_value, mode, b_count):
+    inst = generate_instance(seed, count, max_value, mode=mode, b_count=b_count)
+    size = solve(inst).size
+    assert decide(inst, size)
+    if size:
+        assert not decide(inst, size - 1)
 
 
 def test_brute_force_cap():
