@@ -31,10 +31,6 @@ class CoprimeBasis:
     basis: tuple[int, ...]
     exponents: tuple[tuple[int, ...], ...]
 
-    def exponent(self, a: int, p: int) -> int:
-        """Multiplicity of basis element p in source element a."""
-        return self.exponents[self.source.index(a)][self.basis.index(p)]
-
     def reconstruct(self, a: int) -> int:
         """Product of basis powers for a's row; equals a by the invariant."""
         row = self.exponents[self.source.index(a)]

@@ -62,7 +62,7 @@ def _instance_from_args(args) -> ProblemInstance:
 def _cmd_solve(args):
     inst = _instance_from_args(args)
     if args.method == "brute-force":
-        sol = brute_force(inst, cap=args.brute_cap)
+        sol = brute_force(inst)
     else:
         sol = solve(inst, method=args.method)
     return jsonio.subset_solution_to_payload(sol, include_timing=args.timings), 0
@@ -153,13 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, instance],
         help="smallest S within A attaining the target together with B",
     )
-    p.add_argument("--method", choices=("exact", "greedy", "brute-force"), default="exact")
     p.add_argument(
-        "--brute-cap",
-        type=int,
-        default=BRUTE_FORCE_CAP,
-        metavar="N",
-        help="refuse brute force above this |A|",
+        "--method",
+        choices=("exact", "greedy", "brute-force"),
+        default="exact",
+        help=f"brute-force enumerates subsets and refuses |A| > {BRUTE_FORCE_CAP}",
     )
     p.add_argument(
         "--timings",

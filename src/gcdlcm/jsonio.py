@@ -112,7 +112,7 @@ def subset_solution_to_payload(sol: SubsetSolution, include_timing: bool = False
         "num_sets": sol.stats.num_sets,
         "universe_size": sol.stats.universe_size,
     }
-    if include_timing and sol.stats.elapsed_s is not None:
+    if include_timing:
         stats["elapsed_s"] = sol.stats.elapsed_s
     return {
         "S": [str(x) for x in sol.s],

@@ -75,8 +75,10 @@ def attainment_reduction(a: Iterable[int], b: Iterable[int], stat: str) -> Cover
 
     Columns on which some element of b attains the ``stat`` exponent need
     no covering and are dropped from the universe. Each element of a owns
-    the remaining columns it attains; equal sets collapse to the smallest
-    owner, so reduction-produced instances have pairwise-distinct sets.
+    the remaining columns it attains, as a bitmask built in the one walk
+    over its row; equal masks collapse to the smallest owner, so
+    reduction-produced instances have pairwise-distinct sets. The masks
+    go to the search as they are, through ``CoverInstance.from_masks``.
     """
     a_set, b_set = natset(a), natset(b)
     if not a_set and not b_set:
@@ -87,21 +89,15 @@ def attainment_reduction(a: Iterable[int], b: Iterable[int], stat: str) -> Cover
     a_members, b_members = set(a_set), set(b_set)
     b_rows = [row for x, row in zip(cb.source, cb.exponents) if x in b_members]
     cols = [c for c, e in enumerate(extreme) if all(row[c] != e for row in b_rows)]
-    sets: list[tuple[int, ...]] = []
-    owners: list[int] = []
-    seen: set[tuple[int, ...]] = set()
+    bits = [(1 << j, c, extreme[c]) for j, c in enumerate(cols)]
+    owner: dict[int, int] = {}  # mask -> smallest owner
     for x, row in zip(cb.source, cb.exponents):
-        if x not in a_members:
-            continue
-        cset = tuple(j for j, c in enumerate(cols) if row[c] == extreme[c])
-        if cset not in seen:
-            seen.add(cset)
-            sets.append(cset)
-            owners.append(x)
+        if x in a_members:
+            owner.setdefault(sum(bit for bit, c, e in bits if row[c] == e), x)
     return CoverReduction(
-        cover=CoverInstance(universe_size=len(cols), sets=tuple(sets)),
+        cover=CoverInstance.from_masks(len(cols), owner),
         universe_labels=tuple(cb.basis[c] for c in cols),
-        set_owners=tuple(owners),
+        set_owners=tuple(owner.values()),
     )
 
 
@@ -137,14 +133,8 @@ def cover_to_lcm(inst: CoverInstance) -> CoverImage:
     primes = first_primes(inst.universe_size)
     owners: dict[int, int] = {}
     for i, s in enumerate(inst.sets):
-        val = math.prod(primes[j] for j in s)
-        if val not in owners:
-            owners[val] = i
-    return CoverImage(
-        elements=natset(owners),
-        owners=owners,
-        target=math.prod(primes),
-    )
+        owners.setdefault(math.prod(primes[j] for j in s), i)
+    return CoverImage(elements=natset(owners), owners=owners, target=math.prod(primes))
 
 
 def cover_to_gcd(inst: CoverInstance) -> CoverImage:
@@ -159,12 +149,6 @@ def cover_to_gcd(inst: CoverInstance) -> CoverImage:
     total = math.prod(primes)
     owners: dict[int, int] = {}
     for i, s in enumerate(inst.sets):
-        val = total // math.prod(primes[j] for j in s)
-        if val not in owners:
-            owners[val] = i
+        owners.setdefault(total // math.prod(primes[j] for j in s), i)
     elements = natset(owners)
-    return CoverImage(
-        elements=elements,
-        owners=owners,
-        target=math.gcd(*elements),
-    )
+    return CoverImage(elements=elements, owners=owners, target=math.gcd(*elements))

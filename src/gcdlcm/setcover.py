@@ -1,44 +1,67 @@
 """Minimum-cover instances and the greedy / exact solvers.
 
-The universe is {0, ..., universe_size - 1}; sets are index lists, held
-as int bitmasks while solving. The greedy solver carries the classical
-harmonic-number guarantee |greedy| <= H(|X|) * OPT; the exact solver
-returns the lexicographically smallest index list among all minimum
-covers, so results are canonical. After the classic set-cover data
-reductions, one bounded search answers the optimum and the decision "at
-most k sets?"; the witness comes by self-reduction on that decision.
+The universe is {0, ..., universe_size - 1}; each set is an int bitmask,
+built once by the reduction or the validating constructor and read by
+every solver. The greedy solver carries the classical harmonic-number
+guarantee |greedy| <= H(|X|) * OPT; the exact solver returns the
+lexicographically smallest index list among all minimum covers, so
+results are canonical. After the classic set-cover data reductions, one
+bounded search answers the optimum and the decision "at most k sets?";
+the witness comes by self-reduction on that decision.
 """
 
 from __future__ import annotations
 
 import heapq
-import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from gcdlcm.errors import DomainError, InfeasibleError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoverInstance:
-    """Universe size plus an ordered list of index sets (canonicalized:
-    each set sorted and duplicate-free; the list order is meaningful)."""
+    """Universe size plus an ordered list of set bitmasks (bit e set when
+    the set holds element e). ``CoverInstance(universe_size, sets)`` checks
+    index lists from outside, in any order and with repeats, and builds the
+    masks in that pass; ``sets`` views them as sorted index tuples."""
 
     universe_size: int
-    sets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.universe_size
+    def __init__(self, universe_size: int, sets):
+        n = universe_size
         if type(n) is not int or n < 0:  # bool, a subclass of int, is refused
             raise DomainError(f"universe size must be a nonnegative int, got {n!r}")
-        canon = []
-        for s in self.sets:
-            t = tuple(sorted(set(s)))
-            for e in t:
+        masks = []
+        for s in sets:
+            m = 0
+            for e in sorted(set(s)):  # the smallest bad element is named
                 if type(e) is not int or not 0 <= e < n:
                     raise DomainError(f"set element {e!r} is not an int in range({n})")
-            canon.append(t)
-        object.__setattr__(self, "sets", tuple(canon))
+                m |= 1 << e
+            masks.append(m)
+        object.__setattr__(self, "universe_size", n)
+        object.__setattr__(self, "masks", tuple(masks))
+
+    @classmethod
+    def from_masks(cls, universe_size: int, masks) -> CoverInstance:
+        """The instance over ``masks``, unchecked: each lies below ``1 << universe_size``."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "universe_size", universe_size)
+        object.__setattr__(inst, "masks", tuple(masks))
+        return inst
+
+    @cached_property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_elements, self.masks))
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    return tuple(e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 @dataclass(frozen=True)
@@ -51,17 +74,11 @@ class CoverSolution:
         return len(self.chosen)
 
 
-def require_feasible(inst: CoverInstance, detail: str = "") -> list[int]:
-    """One bitmask per set (bit e set when the set holds element e), read
-    once for feasibility too: raise InfeasibleError naming the smallest
-    element in no set, with ``detail`` appended to the message."""
-    # sets are sorted, so s[-1] is the largest element; the table stops at
-    # the largest element held, whatever universe size the input claims
-    top = max((s[-1] for s in inst.sets if s), default=-1)
-    pow2 = [1 << e for e in range(top + 1)]
-    masks = [sum(map(pow2.__getitem__, s)) for s in inst.sets]
+def require_feasible(inst: CoverInstance, detail: str = "") -> None:
+    """Raise InfeasibleError naming the smallest element in no set, with
+    ``detail`` appended to the message."""
     union = 0
-    for m in masks:
+    for m in inst.masks:
         union |= m
     x = (~union & (union + 1)).bit_length() - 1  # lowest bit not in the union
     if x < inst.universe_size:
@@ -69,14 +86,13 @@ def require_feasible(inst: CoverInstance, detail: str = "") -> list[int]:
             f"element {x} is contained in no set{detail}",
             certificate={"uncoverable_element": x},
         )
-    return masks
 
 
 def greedy_cover(inst: CoverInstance) -> CoverSolution:
     """Greedy approximation; ties break to the lowest set index. Flagged
     optimal only when the answer has size 0 or 1."""
-    masks = require_feasible(inst)
-    chosen = _greedy_order(masks, (1 << inst.universe_size) - 1)
+    require_feasible(inst)
+    chosen = _greedy_order(inst.masks, (1 << inst.universe_size) - 1)
     return CoverSolution(chosen=tuple(sorted(chosen)), is_optimal=len(chosen) <= 1)
 
 
@@ -88,7 +104,8 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
     on what ``_kernelize`` leaves, mapped back through the increasing live
     indices and joined to the forced sets.
     """
-    masks = require_feasible(inst)
+    require_feasible(inst)
+    masks = inst.masks
     forced, live, uncovered = _kernelize(masks, (1 << inst.universe_size) - 1)
     residual = _exact_search([masks[i] & uncovered for i in live], uncovered)
     return CoverSolution(tuple(sorted(forced + [live[i] for i in residual])), is_optimal=True)
@@ -98,13 +115,13 @@ def decide_cover(inst: CoverInstance, k: int) -> bool:
     """Is there a cover of size <= k? Infeasible instances answer no.
     The same bounded search, asked for k sets and no witness."""
     try:
-        masks = require_feasible(inst)
+        require_feasible(inst)
     except InfeasibleError:
         return False
-    return _kernel_cover(masks, (1 << inst.universe_size) - 1, k) is not None
+    return _kernel_cover(inst.masks, (1 << inst.universe_size) - 1, k) is not None
 
 
-def _kernelize(masks: list[int], full: int) -> tuple[list[int], list[int], int]:
+def _kernelize(masks: Sequence[int], full: int) -> tuple[list[int], list[int], int]:
     """Apply the set-cover data reductions to a fixpoint on the bitmasks
     of a feasible instance over the elements of ``full``. Returns
     (forced, live, uncovered): the set indices every canonical cover
@@ -154,7 +171,7 @@ def _kernelize(masks: list[int], full: int) -> tuple[list[int], list[int], int]:
                 uncovered &= ~m
 
 
-def _greedy_order(masks: list[int], full: int) -> list[int]:
+def _greedy_order(masks: Sequence[int], full: int) -> list[int]:
     """Repeatedly pick the set covering the most uncovered elements of
     ``full``; ties break to the lowest set index. Returns indices in pick
     order. Gains only fall, so a heap of stale (-gain, index) entries
@@ -174,7 +191,7 @@ def _greedy_order(masks: list[int], full: int) -> list[int]:
     return chosen
 
 
-def _kernel_cover(masks: list[int], full: int, k: int) -> list[int] | None:
+def _kernel_cover(masks: Sequence[int], full: int, k: int) -> list[int] | None:
     """``_min_cover`` behind ``_kernelize``, forced sets included."""
     forced, live, uncovered = _kernelize(masks, full)
     if len(forced) > k:
@@ -277,9 +294,9 @@ def _packing(masks: list[int], full: int):
     holders: list[list[int]] = [[] for _ in range(full.bit_length())]
     reach = [0] * full.bit_length()  # element -> union of the sets holding it
     for i, m in enumerate(masks):
-        for one in re.finditer("1", bin(m)[:1:-1]):  # bit 0 first
-            holders[one.start()].append(i)
-            reach[one.start()] |= m
+        for e in _elements(m):
+            holders[e].append(i)
+            reach[e] |= m
     by_count: dict[int, int] = {}  # holder count -> bitmask of the elements
     for e, hs in enumerate(holders):
         by_count[len(hs)] = by_count.get(len(hs), 0) | 1 << e

@@ -54,7 +54,7 @@ class ProblemInstance:
 class SolveStats:
     """Wall time plus the dimensions of the reduced cover instance."""
 
-    elapsed_s: float | None
+    elapsed_s: float
     universe_size: int
     num_sets: int
 
@@ -116,7 +116,7 @@ def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:
         raise RuntimeError(f"internal: solution achieves {achieved}, target {target}")
     optimal = method == "exact" or len(s) <= 1
     stats = SolveStats(
-        time.perf_counter() - start, red.cover.universe_size, len(red.cover.sets)
+        time.perf_counter() - start, red.cover.universe_size, len(red.cover.masks)
     )
     return SubsetSolution(s, achieved, target, method, optimal, stats)
 

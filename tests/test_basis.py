@@ -51,9 +51,7 @@ def test_two_element_basis():
 def test_prime_powers_collapse():
     cb = compute_basis([8, 12])
     assert cb.basis == (2, 3)
-    assert cb.exponent(8, 2) == 3
-    assert cb.exponent(12, 2) == 2
-    assert cb.exponent(12, 3) == 1
+    assert cb.exponents == ((3, 0), (2, 1))
     assert_valid_basis(cb)
 
 

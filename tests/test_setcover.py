@@ -20,6 +20,7 @@ from gcdlcm import (
     reduce_instance,
 )
 from gcdlcm import setcover
+from gcdlcm.jsonio import cover_instance_from_payload, cover_instance_to_payload
 from helpers import componentwise_min_cover, exhaustive_min_cover
 
 
@@ -30,6 +31,29 @@ def inst(universe_size, *sets):
 def test_sets_are_canonicalized():
     ci = inst(3, [2, 0, 2], [1])
     assert ci.sets == ((0, 2), (1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=70).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, n - 1), max_size=12) if n else st.just([]), max_size=8),
+        )
+    )
+)
+def test_masks_and_the_sets_view_agree(raw):
+    # unsorted index lists with repeats, up to 70 elements (past one
+    # machine word)
+    n, sets = raw
+    ci = CoverInstance(n, sets)
+    assert len(ci.masks) == len(ci.sets) == len(sets)
+    for s, m, view in zip(sets, ci.masks, ci.sets):
+        assert view == tuple(sorted(set(s)))  # sorted, each element once
+        assert m == sum(1 << e for e in set(s))
+        assert view == tuple(e for e in range(n) if m >> e & 1)
+    assert CoverInstance.from_masks(n, ci.masks) == ci
+    assert cover_instance_from_payload(cover_instance_to_payload(ci)) == ci
 
 
 def test_rejects_out_of_range_elements():
@@ -147,7 +171,7 @@ def test_exact_matches_exhaustive_oracle(ci):
     assert sol.size == size
     assert sol.chosen == witness, "exact witness must be the lex-smallest minimum cover"
     # kernelization must not change what the search alone returns
-    masks = [sum(1 << e for e in s) for s in ci.sets]
+    masks = ci.masks
     full = (1 << ci.universe_size) - 1
     assert sol.chosen == tuple(setcover._exact_search(masks, full))
     # the packing lower bound at the root never exceeds the optimum
@@ -211,8 +235,7 @@ def test_exact_cover_matches_componentwise_oracle_on_a_large_residual():
     # what kernelization leaves of a 1000-value max-lcm cover: 17 connected
     # components of at most 17 sets, each small enough to enumerate
     cover = reduce_instance(generate_instance(1, 1000, 10**6, mode="max-lcm", b_count=2))[0].cover
-    masks = setcover.require_feasible(cover)
-    _, live, uncovered = setcover._kernelize(masks, (1 << cover.universe_size) - 1)
+    _, live, uncovered = setcover._kernelize(cover.masks, (1 << cover.universe_size) - 1)
     kept = [e for e in range(cover.universe_size) if uncovered >> e & 1]
     label = {e: k for k, e in enumerate(kept)}
     residual = CoverInstance(

@@ -12,12 +12,14 @@ import gcdlcm.solver as solver_module
 from gcdlcm import (
     BRUTE_FORCE_CAP,
     CapExceededError,
+    CoverInstance,
     DomainError,
     ProblemInstance,
     brute_force,
     decide,
     eliminate_b,
     generate_instance,
+    reduce_instance,
     solve,
 )
 from helpers import set_value
@@ -170,6 +172,23 @@ def test_decide_finds_no_witness(monkeypatch):
     inst = generate_instance(1, 60, 10**4, mode="max-lcm", b_count=2)
     assert decide(inst, len(inst.a))
     assert not decide(inst, 0)
+
+
+@pytest.mark.parametrize("mode, b_count", [("min-gcd", 0), ("max-lcm", 2)])
+def test_reduction_hands_its_masks_over_unchecked(monkeypatch, mode, b_count):
+    # the reduction builds its masks in range; only covers from outside
+    # go through the validating constructor
+    def no_validation(self, universe_size, sets):
+        raise AssertionError("a reduction-built cover was validated again")
+
+    inst = generate_instance(1, 60, 10**4, mode=mode, b_count=b_count)
+    expected = solve(inst)
+    monkeypatch.setattr(CoverInstance, "__init__", no_validation)
+    cover = reduce_instance(inst)[0].cover
+    assert cover.universe_size > 0 and len(cover.masks) > 1
+    assert all(0 <= m < 1 << cover.universe_size for m in cover.masks)
+    sol = solve(inst)
+    assert (sol.s, sol.stats.num_sets) == (expected.s, expected.stats.num_sets)
 
 
 @pytest.mark.parametrize(
