@@ -23,9 +23,6 @@ from gcdlcm.reductions import (
     CoverReduction,
     cover_to_gcd,
     cover_to_lcm,
-    eliminate_b,
-    gcd_to_cover,
-    lcm_to_cover,
 )
 from gcdlcm.setcover import (
     CoverInstance,
@@ -77,18 +74,15 @@ __all__ = [
     "cover_to_lcm",
     "decide",
     "decide_cover",
-    "eliminate_b",
     "exact_cover",
     "exponent_profile",
     "gcd_set",
-    "gcd_to_cover",
     "generate_instance",
     "greedy_cover",
     "is_connected_bfs",
     "is_connected_gcd",
     "kernel_backend",
     "lcm_set",
-    "lcm_to_cover",
     "natset",
     "prune_links",
     "reduce_instance",

@@ -33,8 +33,8 @@ from gcdlcm.solver import (
 
 def _read_json(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except OSError as exc:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
@@ -227,13 +227,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, status = args.handler(args)
     except InfeasibleError as exc:
-        _emit(args, jsonio.canonical_json({"certificate": exc.certificate, "infeasible": True}))
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        payload, status = {"certificate": exc.certificate, "infeasible": True}, 1
     except (DomainError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, jsonio.canonical_json(payload))
+    try:
+        _emit(args, jsonio.canonical_json(payload))
+    except OSError as exc:
+        where = args.output or "standard output"
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -16,12 +16,16 @@ NatSet = tuple[int, ...]
 
 
 def natset(values: Iterable[int]) -> NatSet:
-    """Canonicalize an iterable of positive integers: dedup, sort ascending."""
-    out = sorted(set(values))
-    for v in out:
+    """Canonicalize an iterable of positive integers: dedup, sort ascending.
+
+    Every value is checked before the dedup, so an equal value of another
+    type (True for 1, 2.0 for 2) is refused wherever it stands.
+    """
+    values = list(values)
+    for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise DomainError(f"set elements must be positive integers, got {v!r}")
-    return tuple(out)
+    return tuple(sorted(set(values)))
 
 
 def gcd_set(values: Iterable[int]) -> int:

@@ -1,13 +1,15 @@
 """Transforms between subset-gcd/lcm problems and minimum cover.
 
-Forward direction: one attainment reduction builds every cover. A set a
-of positive integers, next to a required set b (possibly empty), becomes
-a cover instance over the coprime basis of a | b: each element of a owns
-the basis elements whose extreme exponent (max for lcm, min for gcd) it
+Forward direction: one attainment reduction builds every cover, and
+``solver.reduce_instance`` is the only way into it. A set a of positive
+integers, next to a required set b (possibly empty), becomes a cover
+instance over the coprime basis of a | b: each element of a owns the
+basis elements whose extreme exponent (max for lcm, min for gcd) it
 attains, and the basis elements some element of b already attains leave
 the universe. A subfamily of owner sets covers the universe exactly when
 the owners, together with b, preserve the lcm (resp. gcd) of a | b, so
-optimal sizes transfer both ways.
+optimal sizes transfer both ways. The reduction takes the canonical sets
+of a checked ``ProblemInstance`` and checks nothing again.
 
 Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
@@ -19,11 +21,9 @@ pulled back.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from gcdlcm.basis import compute_basis, exponent_profile
-from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
 from gcdlcm.setcover import CoverInstance, require_feasible
 
@@ -50,26 +50,7 @@ class CoverReduction:
     set_owners: tuple[int, ...]
 
 
-def eliminate_b(a: Iterable[int], b: Iterable[int]) -> BEliminationMap:
-    """Collapse the pair (a, b) to a single set with equal min-gcd optimum.
-
-    Replaces each x in a by gcd({x} | b); the section picks the smallest
-    representative per image value.
-    """
-    a_set = natset(a)
-    b_set = natset(b)
-    if not a_set:
-        raise DomainError("cannot eliminate b from an empty a")
-    g_b = math.gcd(*b_set)
-    section: dict[int, int] = {}
-    for x in a_set:
-        v = math.gcd(x, g_b)
-        if v not in section:
-            section[v] = x
-    return BEliminationMap(reduced=natset(section), section=section)
-
-
-def attainment_reduction(a: Iterable[int], b: Iterable[int], stat: str) -> CoverReduction:
+def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     """Attainment cover of a, next to a required set b, over the coprime
     basis of a | b; ``stat`` ("min" or "max") picks the exponent to attain.
 
@@ -79,14 +60,15 @@ def attainment_reduction(a: Iterable[int], b: Iterable[int], stat: str) -> Cover
     over its row; equal masks collapse to the smallest owner, so
     reduction-produced instances have pairwise-distinct sets. The masks
     go to the search as they are, through ``CoverInstance.from_masks``.
+
+    a and b must be canonical sets, not both empty, as a
+    ``ProblemInstance`` holds them; they are used as they are, and the
+    only check left is the one ``compute_basis`` makes on a | b.
     """
-    a_set, b_set = natset(a), natset(b)
-    if not a_set and not b_set:
-        raise DomainError("cannot reduce an empty set")
-    cb = compute_basis(a_set + b_set)
+    cb = compute_basis(a + b)
     profile = exponent_profile(cb, stat)
     extreme = [profile[p] for p in cb.basis]
-    a_members, b_members = set(a_set), set(b_set)
+    a_members, b_members = set(a), set(b)
     b_rows = [row for x, row in zip(cb.source, cb.exponents) if x in b_members]
     cols = [c for c, e in enumerate(extreme) if all(row[c] != e for row in b_rows)]
     bits = [(1 << j, c, extreme[c]) for j, c in enumerate(cols)]
@@ -99,18 +81,6 @@ def attainment_reduction(a: Iterable[int], b: Iterable[int], stat: str) -> Cover
         universe_labels=tuple(cb.basis[c] for c in cols),
         set_owners=tuple(owner.values()),
     )
-
-
-def lcm_to_cover(a: Iterable[int]) -> CoverReduction:
-    """Cover instance whose minimum cover size equals the smallest nonempty
-    subset of a preserving lcm(a)."""
-    return attainment_reduction(a, (), "max")
-
-
-def gcd_to_cover(a: Iterable[int]) -> CoverReduction:
-    """Cover instance whose minimum cover size equals the smallest nonempty
-    subset of a preserving gcd(a)."""
-    return attainment_reduction(a, (), "min")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ Pipeline: if b alone already attains the target, the answer is empty.
 Otherwise both modes go through the one attainment reduction of
 ``reductions``. Max-lcm instances pass a and b to it as they are, so the
 columns whose maximum exponent b already attains leave the universe.
-Min-gcd instances first collapse b into a (``eliminate_b``, one gcd per
-element) and reduce the collapsed set alone: on circulant link pruning,
-where b holds the node count, the basis of all of a | b would cost tens
-of times the whole solve. Cover solutions map back through owner
-maps (and the elimination section) to elements of a.
+Min-gcd instances first collapse b into a (one gcd per element) and
+reduce the collapsed set alone: on circulant link pruning, where b holds
+the node count, the basis of all of a | b would cost tens of times the
+whole solve. ``reduce_instance`` is the one forward reduction; it trusts
+the sets a ``ProblemInstance`` has already checked and made canonical.
+Cover solutions map back through owner maps (and the elimination
+section) to elements of a.
 
 A subset enumerator capped at small sizes serves as the independent
 oracle for the whole pipeline.
@@ -17,18 +19,14 @@ oracle for the whole pipeline.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from gcdlcm.errors import CapExceededError, DomainError
 from gcdlcm.numeric import NatSet, gcd_set, lcm_set, natset
-from gcdlcm.reductions import (
-    BEliminationMap,
-    CoverReduction,
-    attainment_reduction,
-    eliminate_b,
-)
+from gcdlcm.reductions import BEliminationMap, CoverReduction, attainment_reduction
 from gcdlcm.setcover import decide_cover, exact_cover, greedy_cover
 
 MODES = ("min-gcd", "max-lcm")
@@ -78,12 +76,24 @@ def _mode_value(mode: str, values) -> int:
 
 
 def reduce_instance(inst: ProblemInstance) -> tuple[CoverReduction, BEliminationMap | None]:
-    """The cover reduction the solver searches, plus the elimination map
-    used to collapse b (min-gcd only; None for max-lcm)."""
-    if inst.mode == "min-gcd":
-        bem = eliminate_b(inst.a, inst.b)
-        return attainment_reduction(bem.reduced, (), "min"), bem
-    return attainment_reduction(inst.a, inst.b, "max"), None
+    """The library's one forward reduction: the cover instance the solver
+    searches, plus the elimination map used to collapse b (min-gcd only;
+    None for max-lcm).
+
+    Min-gcd replaces each x in a by gcd({x} | b), keeps the smallest x per
+    image value as the section, and reduces the image alone. The
+    instance's sets are canonical already, so no stage checks them again.
+    """
+    if inst.mode == "max-lcm":
+        return attainment_reduction(inst.a, inst.b, "max"), None
+    if not inst.a:
+        raise DomainError("cannot eliminate b from an empty a")
+    g_b = math.gcd(*inst.b)
+    section: dict[int, int] = {}
+    for x in inst.a:
+        section.setdefault(math.gcd(x, g_b), x)
+    bem = BEliminationMap(reduced=tuple(sorted(section)), section=section)
+    return attainment_reduction(bem.reduced, (), "min"), bem
 
 
 def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:
@@ -105,12 +115,9 @@ def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:
     pull_back = bem.section.__getitem__ if bem is not None else lambda owner: owner
 
     cover_sol = exact_cover(red.cover) if method == "exact" else greedy_cover(red.cover)
-    s = natset(pull_back(red.set_owners[i]) for i in cover_sol.chosen)
-    if not s:
-        # Empty universe but b alone misses the target: every element of a
-        # attains it alone (min-gcd with all values collapsing to 1); take
-        # the smallest.
-        s = (next(x for x in inst.a if _mode_value(inst.mode, (x,) + inst.b) == target),)
+    # b misses the target, so S is not empty: an empty universe has one
+    # set, owned by the smallest element, and that set is the answer
+    s = tuple(sorted(pull_back(red.set_owners[i]) for i in cover_sol.chosen or (0,)))
     achieved = _mode_value(inst.mode, s + inst.b)
     if achieved != target:
         raise RuntimeError(f"internal: solution achieves {achieved}, target {target}")
@@ -133,10 +140,8 @@ def decide(inst: ProblemInstance, k: int) -> bool:
     if _mode_value(inst.mode, inst.b) == target:
         return True
     red, _ = reduce_instance(inst)
-    if red.cover.universe_size == 0:
-        # b misses the target, so S is not empty; one element suffices
-        return k >= 1
-    return decide_cover(red.cover, k)
+    # b misses the target, so S is not empty
+    return k >= 1 and decide_cover(red.cover, k)
 
 
 def brute_force(inst: ProblemInstance, cap: int = BRUTE_FORCE_CAP) -> SubsetSolution:

@@ -213,6 +213,20 @@ def test_parse_errors_report_position_and_exit_2():
     assert r.returncode == 2
 
 
+def test_unwritable_output_reports_one_line_and_exits_2(tmp_path):
+    r = run_cli("solve", "-A", "6", "10", "--output", str(tmp_path / "missing" / "out.json"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write ") and r.stderr.count("\n") == 1
+
+
+def test_non_utf8_input_reports_one_line_and_exits_2(tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_bytes(b'{"A": ["6", "10\xff"]}')
+    r = run_cli("solve", "--input", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: cannot read {path}") and r.stderr.count("\n") == 1
+
+
 def test_brute_force_cap_refusal_exits_2():
     args = ["solve", "--method", "brute-force", "-A"] + [str(v) for v in range(2, 30)]
     r = run_cli(*args)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcdlcm import DomainError, gcd_set, lcm_set, natset
+from gcdlcm import CirculantGraph, DomainError, ProblemInstance, gcd_set, lcm_set, natset
 from gcdlcm.numeric import first_primes
 from helpers import input_size
 
@@ -21,6 +21,19 @@ def test_natset_sorts_and_dedups():
 def test_natset_rejects_non_positive_ints(bad):
     with pytest.raises(DomainError):
         natset([bad])
+
+
+@pytest.mark.parametrize(
+    "canonical",
+    [natset, lambda v: ProblemInstance(a=v, b=(), mode="min-gcd"), lambda v: CirculantGraph(6, v)],
+    ids=["natset", "ProblemInstance", "CirculantGraph"],
+)
+@pytest.mark.parametrize("values", [(1, True), (True, 1), (2, 2.0), (2.0, 2), (2, "3"), (2, None)])
+def test_every_value_is_checked_before_the_dedup(canonical, values):
+    # an equal value of another type is refused wherever it stands, and a
+    # value that does not compare with ints is a domain error, not a TypeError
+    with pytest.raises(DomainError):
+        canonical(values)
 
 
 def test_gcd_set_conventions():

@@ -13,42 +13,46 @@ from gcdlcm import (
     CoverInstance,
     DomainError,
     InfeasibleError,
+    ProblemInstance,
     cover_to_gcd,
     cover_to_lcm,
-    eliminate_b,
     exact_cover,
     gcd_set,
-    gcd_to_cover,
-    lcm_to_cover,
+    reduce_instance,
 )
 from helpers import exhaustive_min_cover, exhaustive_min_subset, input_size, set_value
 
 nat_sets = st.lists(st.integers(min_value=1, max_value=10**4), min_size=1, max_size=8)
 
 
+def forward(a, b=(), mode="min-gcd"):
+    """(cover reduction, elimination map) of the instance (a, b, mode)."""
+    return reduce_instance(ProblemInstance(tuple(a), tuple(b), mode))
+
+
 # -- b-elimination ------------------------------------------------------
 
 
 def test_eliminate_b_collapses_and_sections():
-    bem = eliminate_b([4, 6], [10])
+    bem = forward([4, 6], [10])[1]
     assert bem.reduced == (2,)
     assert bem.section == {2: 4}  # smallest representative wins
 
-    bem = eliminate_b([6, 10, 15], [4])
+    bem = forward([6, 10, 15], [4])[1]
     assert bem.reduced == (1, 2)
     assert bem.section[2] == 6
     assert bem.section[1] == 15
 
 
 def test_eliminate_b_with_empty_b_is_identity():
-    bem = eliminate_b([4, 6], [])
+    bem = forward([4, 6], [])[1]
     assert bem.reduced == (4, 6)
     assert bem.section == {4: 4, 6: 6}
 
 
 def test_eliminate_b_requires_nonempty_a():
-    with pytest.raises(DomainError):
-        eliminate_b([], [3])
+    with pytest.raises(DomainError, match="cannot eliminate b from an empty a"):
+        forward([], [3])
 
 
 @settings(max_examples=300, deadline=None)
@@ -57,7 +61,7 @@ def test_eliminate_b_requires_nonempty_a():
     st.lists(st.integers(min_value=1, max_value=10**4), max_size=3),
 )
 def test_elimination_section_and_gcd_preservation(a, b):
-    bem = eliminate_b(a, b)
+    bem = forward(a, b)[1]
     gb = math.gcd(*b) if b else 0
     for v in bem.reduced:
         rep = bem.section[v]
@@ -73,7 +77,7 @@ def test_elimination_section_and_gcd_preservation(a, b):
     st.lists(st.integers(min_value=1, max_value=300), max_size=2),
 )
 def test_elimination_preserves_min_gcd_optimum(a, b):
-    bem = eliminate_b(a, b)
+    bem = forward(a, b)[1]
     with_b = exhaustive_min_subset(a, b, "min-gcd", nonempty=True)[0]
     collapsed = exhaustive_min_subset(bem.reduced, (), "min-gcd", nonempty=True)[0]
     assert with_b == collapsed
@@ -83,22 +87,22 @@ def test_elimination_preserves_min_gcd_optimum(a, b):
 
 
 def test_gcd_to_cover_worked_examples():
-    red = gcd_to_cover([6, 10, 15])
+    red = forward([6, 10, 15])[0]
     assert red.universe_labels == (2, 3, 5)
     assert red.set_owners == (6, 10, 15)
     assert red.cover.sets == ((2,), (1,), (0,))
     assert exact_cover(red.cover).size == 3
 
-    red = gcd_to_cover([6, 12])
+    red = forward([6, 12])[0]
     assert red.cover.universe_size == 2
     assert exact_cover(red.cover).size == 1  # S={6} already has gcd 6
 
-    red = gcd_to_cover([4, 9])
+    red = forward([4, 9])[0]
     assert exact_cover(red.cover).size == 2
 
 
 def test_lcm_to_cover_worked_examples():
-    red = lcm_to_cover([4, 6, 9])
+    red = forward([4, 6, 9], (), "max-lcm")[0]
     assert red.universe_labels == (2, 3)
     # 6 attains neither maximum, so its C-set is empty
     owners_by_set = dict(zip(red.set_owners, red.cover.sets))
@@ -107,35 +111,34 @@ def test_lcm_to_cover_worked_examples():
     assert owners_by_set[9] == (1,)
     assert exact_cover(red.cover).size == 2
 
-    red = lcm_to_cover([6])
+    red = forward([6], (), "max-lcm")[0]
     assert red.cover.universe_size == 1
     assert exact_cover(red.cover).size == 1
 
-    red = lcm_to_cover([2, 4])
+    red = forward([2, 4], (), "max-lcm")[0]
     assert red.universe_labels == (2,)
     assert exact_cover(red.cover).size == 1
 
 
 def test_forward_reduction_dedups_equal_sets():
     # 10 and 20 attain the same minima {5}, so only the smaller owns a set
-    red = gcd_to_cover([10, 20, 15])
+    red = forward([10, 20, 15])[0]
     assert len(red.cover.sets) == len(set(red.cover.sets))
     assert 10 in red.set_owners
     assert 20 not in red.set_owners
 
 
 def test_forward_reduction_rejects_empty():
-    with pytest.raises(DomainError):
-        gcd_to_cover([])
-    with pytest.raises(DomainError):
-        lcm_to_cover([])
+    for mode in ("min-gcd", "max-lcm"):
+        with pytest.raises(DomainError, match="empty only if b is nonempty"):
+            forward([], (), mode)
 
 
 @settings(max_examples=250, deadline=None)
 @given(nat_sets)
 def test_forward_gcd_preserves_optimum(values):
     assume(set(values) != {1})  # sole degenerate: cover is empty, subsets are not
-    red = gcd_to_cover(values)
+    red = forward(values)[0]
     cover_opt = exact_cover(red.cover).size
     subset_opt = exhaustive_min_subset(values, (), "min-gcd", nonempty=True)[0]
     assert cover_opt == subset_opt
@@ -145,7 +148,7 @@ def test_forward_gcd_preserves_optimum(values):
 @given(nat_sets)
 def test_forward_lcm_preserves_optimum(values):
     assume(set(values) != {1})
-    red = lcm_to_cover(values)
+    red = forward(values, (), "max-lcm")[0]
     cover_opt = exact_cover(red.cover).size
     subset_opt = exhaustive_min_subset(values, (), "max-lcm", nonempty=True)[0]
     assert cover_opt == subset_opt
@@ -154,7 +157,8 @@ def test_forward_lcm_preserves_optimum(values):
 @settings(max_examples=250, deadline=None)
 @given(nat_sets)
 def test_forward_owner_sets_reproduce_the_value(values):
-    for red, mode in ((gcd_to_cover(values), "min-gcd"), (lcm_to_cover(values), "max-lcm")):
+    for mode in ("min-gcd", "max-lcm"):
+        red = forward(values, (), mode)[0]
         chosen = exact_cover(red.cover).chosen
         owners = [red.set_owners[i] for i in chosen]
         # owners are distinct elements of the input
@@ -244,7 +248,7 @@ def _universe_primes(n):
 @given(covering_instances())
 def test_round_trip_preserves_cover_optimum(ci):
     img = cover_to_lcm(ci)
-    red = lcm_to_cover(img.elements)
+    red = forward(img.elements, (), "max-lcm")[0]
     assert exact_cover(red.cover).size == exhaustive_min_cover(ci.universe_size, ci.sets)[0]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,11 @@ from gcdlcm import (
     ProblemInstance,
     brute_force,
     decide,
-    eliminate_b,
     generate_instance,
     reduce_instance,
     solve,
 )
+from gcdlcm.numeric import natset
 from helpers import set_value
 
 
@@ -192,6 +193,33 @@ def test_reduction_hands_its_masks_over_unchecked(monkeypatch, mode, b_count):
 
 
 @pytest.mark.parametrize(
+    "inst",
+    [
+        mk([6, 10, 15, 35, 77, 91], [2 * 3 * 5 * 7 * 11 * 13]),
+        generate_instance(1, 60, 10**4, mode="max-lcm", b_count=2),
+    ],
+    ids=["min-gcd", "max-lcm"],
+)
+def test_built_instances_are_not_checked_again(monkeypatch, inst):
+    # the stages behind reduce_instance take the canonical sets of a built
+    # instance as they are; the one check left is compute_basis's own
+    callers = []
+
+    def counted(values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return natset(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gcdlcm" and hasattr(module, "natset"):
+            monkeypatch.setattr(module, "natset", counted)
+    assert inst.b and solve(inst).size > 1
+    for run in (solve, reduce_instance):
+        callers.clear()
+        run(inst)
+        assert callers == ["compute_basis"], run.__name__
+
+
+@pytest.mark.parametrize(
     "seed, count, max_value, mode, b_count",
     [
         (1, 40, 10**4, "min-gcd", 0),
@@ -285,7 +313,7 @@ def test_greedy_is_feasible_and_bounded(inst):
 def test_b_elimination_consistency(a, b):
     # solving (a, b) and solving the collapsed single-set instance agree
     direct = solve(mk(a, b))
-    bem = eliminate_b(a, b)
+    bem = reduce_instance(mk(a, b))[1]
     collapsed = solve(mk(bem.reduced, (), "min-gcd"))
     if direct.size > 0:
         assert direct.size == collapsed.size
