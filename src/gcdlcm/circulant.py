@@ -10,7 +10,6 @@ keeping the graph connected, a min-gcd subset problem with required set
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
@@ -37,7 +36,9 @@ def is_connected_gcd(g: CirculantGraph) -> bool:
 
 
 def is_connected_bfs(g: CirculantGraph, cap: int = BFS_NODE_CAP) -> bool:
-    """Oracle: breadth-first search from node 0 over the actual edges.
+    """Oracle: breadth-first search from node 0 over the actual edges,
+    stepping +-a mod m for each link a; connected when it reaches all m
+    nodes.
 
     Refuses graphs above the node cap. Links congruent to 0 mod m are
     self-loops and contribute no edges.
@@ -46,27 +47,6 @@ def is_connected_bfs(g: CirculantGraph, cap: int = BFS_NODE_CAP) -> bool:
     if m > cap:
         raise CapExceededError(f"breadth-first search over {m} nodes exceeds the cap of {cap}")
     steps = sorted({a % m for a in g.links} - {0})
-    return _bfs_reached(m, steps) == m
-
-
-def prune_links(g: CirculantGraph, method: str = "exact") -> NatSet:
-    """Minimal (exact) or approximately minimal (greedy) link subset
-    keeping the graph connected. The input graph must be connected."""
-    if not is_connected_gcd(g):
-        raise InfeasibleError(
-            f"graph on {g.node_count} nodes with links {list(g.links)} is not connected",
-            certificate={"gcd": gcd_set(g.links + (g.node_count,))},
-        )
-    inst = ProblemInstance(a=g.links, b=(g.node_count,), mode="min-gcd")
-    return solve(inst, method).s
-
-
-def _bfs_reached(node_count: int, steps: Sequence[int]) -> int:
-    """Nodes reachable from 0 stepping +-a mod node_count for each step a.
-
-    Steps must already be reduced to the range [1, node_count - 1].
-    """
-    m = node_count
     seen = bytearray(m)
     seen[0] = 1
     count = 1
@@ -90,4 +70,16 @@ def _bfs_reached(node_count: int, steps: Sequence[int]) -> int:
                     count += 1
                     nxt.append(u)
         frontier = nxt
-    return count
+    return count == m
+
+
+def prune_links(g: CirculantGraph, method: str = "exact") -> NatSet:
+    """Minimal (exact) or approximately minimal (greedy) link subset
+    keeping the graph connected. The input graph must be connected."""
+    if not is_connected_gcd(g):
+        raise InfeasibleError(
+            f"graph on {g.node_count} nodes with links {list(g.links)} is not connected",
+            certificate={"gcd": gcd_set(g.links + (g.node_count,))},
+        )
+    inst = ProblemInstance(a=g.links, b=(g.node_count,), mode="min-gcd")
+    return solve(inst, method).s

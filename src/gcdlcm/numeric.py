@@ -43,21 +43,13 @@ def lcm_set(values: Iterable[int]) -> int:
 
 
 def first_primes(m: int) -> list[int]:
-    """The first m primes, via a sieve whose window doubles until m are found."""
+    """The first m primes, from one sieve window: p_m < m (ln m + ln ln m)
+    for m >= 6 (Rosser), and 15 holds the first five."""
     if m < 0:
         raise DomainError(f"prime count must be nonnegative, got {m}")
-    if m == 0:
-        return []
-    # p_m < m (ln m + ln ln m) for m >= 6; small m use a fixed window.
     if m < 6:
-        limit = 15
-    else:
-        limit = int(m * (math.log(m) + math.log(math.log(m)))) + 3
-    while True:
-        primes = _sieve(limit)
-        if len(primes) >= m:
-            return primes[:m]
-        limit *= 2
+        return _sieve(15)[:m]
+    return _sieve(int(m * (math.log(m) + math.log(math.log(m)))) + 3)[:m]
 
 
 def _sieve(limit: int) -> list[int]:

@@ -13,9 +13,10 @@ of a checked ``ProblemInstance`` and checks nothing again.
 
 Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
-of its primes (lcm variant) or to the total product divided by its primes
-(gcd variant). Every transform carries owner maps so solutions can be
-pulled back.
+of its primes (lcm variant). The gcd variant is the complement of that
+image: each element x becomes the total product divided by x. A family
+with no sets has no image and is refused. Every transform carries owner
+maps so solutions can be pulled back.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from gcdlcm.basis import compute_basis, exponent_profile
+from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
 from gcdlcm.setcover import CoverInstance, require_feasible
 
@@ -98,8 +100,15 @@ class CoverImage:
 
 def cover_to_lcm(inst: CoverInstance) -> CoverImage:
     """Embed a cover instance as a max-lcm problem: universe element j
-    becomes the j-th prime, each set the product of its primes."""
+    becomes the j-th prime, each set the product of its primes.
+
+    A family with no sets is refused once it is known to be feasible (its
+    universe is empty): its image would be an empty set, and an empty
+    ``a`` next to an empty ``b`` is no subset problem.
+    """
     require_feasible(inst, "; the cover problem is trivial")
+    if not inst.masks:
+        raise DomainError("a cover with no sets has no integer image")
     primes = first_primes(inst.universe_size)
     owners: dict[int, int] = {}
     for i, s in enumerate(inst.sets):
@@ -108,17 +117,14 @@ def cover_to_lcm(inst: CoverInstance) -> CoverImage:
 
 
 def cover_to_gcd(inst: CoverInstance) -> CoverImage:
-    """Embed a cover instance as a min-gcd problem: each set maps to the
-    total prime product divided by the set's own primes.
+    """Embed a cover instance as a min-gcd problem: the complement of the
+    lcm image, each of its elements x mapped to its target divided by x.
 
-    The emitted elements have gcd 1 exactly because the sets cover the
-    universe, so 1 is the target the subset problem must preserve.
+    The map is injective, so every element keeps its owner and the owners
+    their order. A prime divides the gcd of the complements exactly when
+    its universe element lies in no set, so the sets cover exactly when that
+    gcd is 1, the target the subset problem must preserve.
     """
-    require_feasible(inst, "; the cover problem is trivial")
-    primes = first_primes(inst.universe_size)
-    total = math.prod(primes)
-    owners: dict[int, int] = {}
-    for i, s in enumerate(inst.sets):
-        owners.setdefault(total // math.prod(primes[j] for j in s), i)
-    elements = natset(owners)
-    return CoverImage(elements=elements, owners=owners, target=math.gcd(*elements))
+    img = cover_to_lcm(inst)
+    owners = {img.target // x: i for x, i in img.owners.items()}
+    return CoverImage(elements=natset(owners), owners=owners, target=1)

@@ -101,7 +101,8 @@ def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:
     the mode value of S | b equal to that of a | b.
 
     Greedy answers satisfy |S| <= (ln |X| + 1) * OPT over the reduced
-    universe X and are exact whenever they have size 0 or 1.
+    universe X. ``optimal`` is the cover solution's flag: owners pull back
+    injectively, and an empty cover to one element.
     """
     if method not in ("exact", "greedy"):
         raise DomainError(f"method must be 'exact' or 'greedy', got {method!r}")
@@ -121,11 +122,10 @@ def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:
     achieved = _mode_value(inst.mode, s + inst.b)
     if achieved != target:
         raise RuntimeError(f"internal: solution achieves {achieved}, target {target}")
-    optimal = method == "exact" or len(s) <= 1
     stats = SolveStats(
         time.perf_counter() - start, red.cover.universe_size, len(red.cover.masks)
     )
-    return SubsetSolution(s, achieved, target, method, optimal, stats)
+    return SubsetSolution(s, achieved, target, method, cover_sol.is_optimal, stats)
 
 
 def decide(inst: ProblemInstance, k: int) -> bool:

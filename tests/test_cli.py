@@ -105,6 +105,15 @@ def test_reduce_backward_huge_universe_without_sets_fails_at_once():
     assert json.loads(r.stdout)["certificate"] == {"uncoverable_element": 0}
 
 
+@pytest.mark.parametrize("mode", ["min-gcd", "max-lcm"])
+def test_reduce_backward_empty_family_exits_2(mode):
+    doc = json.dumps({"universe_size": 0, "sets": []})
+    r = run_cli("reduce", "--direction", "backward", "--input", "-", "--mode", mode, stdin=doc)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: a cover with no sets has no integer image\n"
+
+
 @pytest.fixture
 def unlimited_int_digits():
     """Lift Python's int/str conversion limit (3.10.7 and later) in this

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcdlcm import CirculantGraph, DomainError, ProblemInstance, gcd_set, lcm_set, natset
-from gcdlcm.numeric import first_primes
+from gcdlcm.numeric import _sieve, first_primes
 from helpers import input_size
 
 
@@ -67,6 +67,13 @@ def test_first_primes_bulk():
     assert primes == sorted(set(primes))
     for p in primes:
         assert all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def test_first_primes_is_a_prefix_of_one_large_sieve():
+    # 1,299,709 is the 100,000th prime
+    reference = _sieve(1_299_709)
+    for m in [*range(65), 100, 1000, 10**4, 10**5]:
+        assert first_primes(m) == reference[:m]
 
 
 @given(st.integers(min_value=1, max_value=10**30))

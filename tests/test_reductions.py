@@ -203,6 +203,14 @@ def test_backward_rejects_non_covering_instances():
         cover_to_gcd(CoverInstance(universe_size=3, sets=((0, 1),)))
 
 
+@pytest.mark.parametrize("embed", [cover_to_gcd, cover_to_lcm])
+def test_backward_refuses_a_family_with_no_sets(embed):
+    with pytest.raises(DomainError, match="no sets"):
+        embed(CoverInstance(universe_size=0, sets=()))
+    with pytest.raises(InfeasibleError):  # a nonempty universe is uncoverable first
+        embed(CoverInstance(universe_size=3, sets=()))
+
+
 @st.composite
 def covering_instances(draw):
     n = draw(st.integers(min_value=1, max_value=6))
