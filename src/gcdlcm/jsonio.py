@@ -1,8 +1,11 @@
 """JSON payloads for instances, cover problems, solutions, and reductions.
 
-Conventions shared by every payload: keys are emitted in alphabetical
-order with two-space indentation and a trailing newline, so equal data
-always produces identical bytes. Integers that can be arbitrarily large
+Conventions shared by every payload: the output is the bytes
+``json.dumps(payload, indent=2, sort_keys=True)`` writes, plus a trailing
+newline, so equal data always produces identical bytes. It is made with
+one join per list of ints or of strings: ``json.dumps`` with ``indent``
+runs the pure-Python encoder, which costs more than computing a large
+basis or reduction. Integers that can be arbitrarily large
 (set elements, gcd/lcm values, basis elements) serialize as decimal
 strings; universe indices, exponents, and sizes stay JSON numbers.
 Parsers accept either form for integer fields and report the offending
@@ -12,6 +15,7 @@ field on error.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from gcdlcm.basis import CoprimeBasis
@@ -22,7 +26,34 @@ from gcdlcm.solver import ProblemInstance, SubsetSolution
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(v: Any, nl: str) -> str:
+    """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it at the
+    depth whose line break and indent is ``nl``."""
+    inner = nl + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        kinds = set(map(type, v))
+        if kinds == {int}:
+            items = map(int.__repr__, v)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, v)
+        else:
+            items = (_indented(x, inner) for x in v)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        if not all(isinstance(k, str) for k in v):
+            # json.dumps sorts non-str keys by value before it writes them as str
+            return json.dumps(v, indent=2, sort_keys=True).replace("\n", nl)
+        pairs = (encode_basestring_ascii(k) + ": " + _indented(v[k], inner) for k in sorted(v))
+        return "{" + inner + ("," + inner).join(pairs) + nl + "}"
+    return json.dumps(v)
 
 
 def parse_int(value: Any, field: str) -> int:
@@ -44,7 +75,8 @@ def parse_int(value: Any, field: str) -> int:
 
 
 def parse_int_list(values: Any, field: str) -> list[int]:
-    if not isinstance(values, list):
+    """A JSON array of integers; a tuple, as the payload builders give, too."""
+    if not isinstance(values, (list, tuple)):
         raise DomainError(f"field {field!r}: expected a list")
     return [parse_int(v, f"{field}[{i}]") for i, v in enumerate(values)]
 
@@ -86,7 +118,7 @@ def instance_from_payload(payload: Any) -> ProblemInstance:
 
 def cover_instance_to_payload(inst: CoverInstance) -> dict:
     return {
-        "sets": [list(s) for s in inst.sets],
+        "sets": inst.sets,
         "universe_size": inst.universe_size,
     }
 
@@ -94,7 +126,7 @@ def cover_instance_to_payload(inst: CoverInstance) -> dict:
 def cover_instance_from_payload(payload: Any) -> CoverInstance:
     _require(payload, "sets", "universe_size")
     raw = payload["sets"]
-    if not isinstance(raw, list):
+    if not isinstance(raw, (list, tuple)):
         raise DomainError("field 'sets': expected a list of lists")
     return CoverInstance(
         universe_size=parse_int(payload["universe_size"], "universe_size"),
@@ -161,5 +193,5 @@ def basis_to_payload(cb: CoprimeBasis) -> dict:
     return {
         "basis": [str(p) for p in cb.basis],
         "elements": [str(x) for x in cb.source],
-        "exponents": [list(row) for row in cb.exponents],
+        "exponents": cb.exponents,
     }

@@ -16,7 +16,7 @@ import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, count
 
 from gcdlcm.errors import DomainError, InfeasibleError
 
@@ -59,9 +59,12 @@ class CoverInstance:
         return tuple(map(_elements, self.masks))
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _elements(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending."""
-    return tuple(e for e, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 @dataclass(frozen=True)

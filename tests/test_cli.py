@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from gcdlcm import cli
+from gcdlcm.generate import generate_instance
 from gcdlcm.numeric import first_primes
 from helpers import run_cli
 
@@ -18,6 +20,11 @@ GOLDEN = Path(__file__).parent / "golden"
 def assert_matches_golden(result, name):
     expected = (GOLDEN / name).read_text()
     assert result.stdout == expected, f"output drifted from golden {name}"
+
+
+def assert_canonical(text):
+    """``text`` is what ``json.dumps(indent=2, sort_keys=True)`` writes for its payload."""
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_solve_min_gcd_golden():
@@ -72,6 +79,7 @@ def test_output_flag_writes_file(tmp_path):
     assert r.returncode == 0
     assert r.stdout == ""
     assert json.loads(out.read_text())["size"] == 3
+    assert_canonical(out.read_text())
 
 
 def test_reduce_forward_golden():
@@ -96,6 +104,7 @@ def test_reduce_backward_infeasible_certificate():
     assert payload["infeasible"] is True
     assert payload["certificate"] == {"uncoverable_element": 1}
     assert "error" in r.stderr
+    assert_canonical(r.stdout)
 
 
 def test_reduce_backward_huge_universe_without_sets_fails_at_once():
@@ -248,3 +257,24 @@ def test_timings_flag_adds_elapsed():
     timed = run_cli("solve", "-A", "6", "10", "15", "--timings")
     assert "elapsed_s" not in json.loads(plain.stdout)["stats"]
     assert json.loads(timed.stdout)["stats"]["elapsed_s"] >= 0
+    assert_canonical(timed.stdout)
+
+
+def test_cli_output_needs_no_pure_python_encoder(monkeypatch, capsys, unlimited_int_digits):
+    """``json.dumps`` with ``indent`` runs ``json.encoder._make_iterencode``,
+    the pure-Python encoder, which costs more than computing a large basis
+    or reduction; canonical output is written without it."""
+    a = [str(x) for x in generate_instance(1, 200, 10**4).a]
+    calls = [["solve", "-A", *a], ["basis", "-A", *a], ["reduce", "-A", *a]]
+
+    def stdout_of(argv):
+        status = cli.main(argv)
+        return status, capsys.readouterr().out
+
+    plain = [stdout_of(argv) for argv in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [stdout_of(argv) for argv in calls] == plain

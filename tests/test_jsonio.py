@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdlcm import CoverInstance, DomainError, ProblemInstance, solve
@@ -24,6 +25,46 @@ def test_canonical_json_shape():
     text = canonical_json({"b": 1, "a": [2]})
     assert text == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
     assert text.endswith("\n")
+
+
+_KEYS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "键", "\u2028"]))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(4301, 5000).map(lambda digits: -(10**digits) + 1),  # past the 4300-digit limit
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, 5e-324]),
+    st.text(),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.lists(st.text(), max_size=5).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=5),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=30))
+@example([1, True])
+@example([1, "1"])
+@example({"a": [[], {}, ()], "b": {"c": [[1, -2], ["x", "\\"]]}})
+@example({"owners": {10: [1, 2], 2: "x", -1: {}}})
+def test_canonical_json_writes_what_indented_json_dumps_writes(payload):
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert canonical_json(payload) == expected
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def test_parse_int_accepts_numbers_and_decimal_strings():
