@@ -1,4 +1,4 @@
-"""Coprime basis of an integer set with the full exponent matrix.
+"""Coprime basis of an integer set, its exponent matrix held by sparse rows.
 
 A coprime basis of a set A is a list of pairwise coprime integers >= 2
 such that every element of A is exactly a product of powers of basis
@@ -10,7 +10,9 @@ pairwise-coprime list, without rescanning pairs already known coprime.
 The list sits in the leaves of a product tree, so finding an entry that
 shares a factor with a value takes O(log |list|) gcds, not a scan of the
 list. Exponents come from trial division of each element by the basis,
-which stops once the element is used up.
+which stops once the element is used up. A row keeps only its nonzero
+exponents: on distinct integers it has a few, against hundreds or
+thousands of basis elements.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, natset
@@ -25,16 +28,30 @@ from gcdlcm.numeric import NatSet, natset
 
 @dataclass(frozen=True)
 class CoprimeBasis:
-    """Basis with exponent matrix: rows follow source order, columns basis order."""
+    """Basis with its exponent matrix, rows following source order and
+    columns basis order. ``nonzeros[i]`` holds the (column, exponent) pairs
+    of ``source[i]`` with a positive exponent, by ascending column; the
+    dense matrix ``exponents`` is a view, built only when read."""
 
     source: NatSet
     basis: tuple[int, ...]
-    exponents: tuple[tuple[int, ...], ...]
+    nonzeros: tuple[tuple[tuple[int, int], ...], ...]
+
+    @cached_property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix: one row per source element, one entry per basis element."""
+        rows = []
+        for pairs in self.nonzeros:
+            row = [0] * len(self.basis)
+            for c, e in pairs:
+                row[c] = e
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def reconstruct(self, a: int) -> int:
         """Product of basis powers for a's row; equals a by the invariant."""
-        row = self.exponents[self.source.index(a)]
-        return math.prod(p**e for p, e in zip(self.basis, row))
+        pairs = self.nonzeros[self.source.index(a)]
+        return math.prod(self.basis[c] ** e for c, e in pairs)
 
 
 def _refine(values: Iterable[int]) -> list[int]:
@@ -125,16 +142,16 @@ def _refine(values: Iterable[int]) -> list[int]:
 def compute_basis(a: Iterable[int]) -> CoprimeBasis:
     """Coprime basis of a set of positive integers.
 
-    Elements equal to 1 get an all-zero exponent row and never enter the
-    refinement. Every other element is a product of powers of the basis,
-    so one pass of division extracts its exponents; the pass stops once
-    the element is used up.
+    Elements equal to 1 get an empty row and never enter the refinement.
+    Every other element is a product of powers of the basis, so one pass
+    of division extracts its nonzero exponents; the pass stops once the
+    element is used up.
     """
     source = natset(a)
     basis = tuple(_refine(v for v in source if v > 1))
-    rows: list[tuple[int, ...]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
     for v in source:
-        row = [0] * len(basis)
+        pairs = []
         rem = v
         if rem > 1:
             for col, p in enumerate(basis):
@@ -143,24 +160,31 @@ def compute_basis(a: Iterable[int]) -> CoprimeBasis:
                     while rem % p == 0:
                         rem //= p
                         e += 1
-                    row[col] = e
+                    pairs.append((col, e))
                     if rem == 1:
                         break
         if rem != 1:
             raise RuntimeError("internal: an element is not a product of basis powers")
-        rows.append(tuple(row))
-    return CoprimeBasis(source=source, basis=basis, exponents=tuple(rows))
+        rows.append(tuple(pairs))
+    return CoprimeBasis(source=source, basis=basis, nonzeros=tuple(rows))
 
 
 def exponent_profile(cb: CoprimeBasis, stat: str) -> dict[int, int]:
     """Per basis element, the max ("max") or min ("min") exponent over all rows.
 
     The product of p**profile[p] equals lcm(source) for "max" and
-    gcd(source) for "min".
+    gcd(source) for "min". Only the nonzeros are read: a column's max is
+    its largest entry, and its min is 0 unless every row holds it.
     """
     if stat not in ("max", "min"):
         raise DomainError(f"stat must be 'max' or 'min', got {stat!r}")
     if not cb.source:
         raise DomainError("exponent profile of an empty set does not exist")
-    agg = max if stat == "max" else min
-    return dict(zip(cb.basis, map(agg, zip(*cb.exponents))))
+    entries: list[list[int]] = [[] for _ in cb.basis]  # the nonzeros of each column
+    for pairs in cb.nonzeros:
+        for c, e in pairs:
+            entries[c].append(e)
+    if stat == "max":
+        return dict(zip(cb.basis, map(max, entries)))
+    rows = len(cb.source)
+    return {p: min(es) if len(es) == rows else 0 for p, es in zip(cb.basis, entries)}

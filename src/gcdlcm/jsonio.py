@@ -5,16 +5,21 @@ Conventions shared by every payload: the output is the bytes
 newline, so equal data always produces identical bytes. It is made with
 one join per list of ints or of strings: ``json.dumps`` with ``indent``
 runs the pure-Python encoder, which costs more than computing a large
-basis or reduction. Integers that can be arbitrarily large
-(set elements, gcd/lcm values, basis elements) serialize as decimal
-strings; universe indices, exponents, and sizes stay JSON numbers.
-Parsers accept either form for integer fields and report the offending
-field on error.
+basis or reduction. The two large lists of rows, a basis's exponent
+matrix and a cover's sets, stay in the form their owner holds them (rows
+of nonzeros, bitmasks) and are written from it, as slices of one
+precomputed row, without building the dense rows. Integers that can be
+arbitrarily large (set elements, gcd/lcm values, basis elements)
+serialize as decimal strings; universe indices, exponents, and sizes
+stay JSON numbers. Parsers accept either form for integer fields and
+report the offending field on error.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -34,6 +39,8 @@ def _indented(v: Any, nl: str) -> str:
     """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it at the
     depth whose line break and indent is ``nl``."""
     inner = nl + "  "
+    if isinstance(v, _HeldRows):
+        return v.indented(nl) if v else "[]"
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
@@ -54,6 +61,94 @@ def _indented(v: Any, nl: str) -> str:
         pairs = (encode_basestring_ascii(k) + ": " + _indented(v[k], inner) for k in sorted(v))
         return "{" + inner + ("," + inner).join(pairs) + nl + "}"
     return json.dumps(v)
+
+
+class _HeldRows(Sequence):
+    """A payload's list of int rows, kept as its owner holds them. Reading
+    a row gives the dense row the owner's view builds; ``indented(nl)``
+    writes all rows as ``_indented`` would, without building them."""
+
+    def __init__(self, owner):
+        self.owner = owner
+
+
+class _ExponentRows(_HeldRows):
+    """The exponent matrix of a ``CoprimeBasis``, from its nonzeros."""
+
+    def __len__(self) -> int:
+        return len(self.owner.nonzeros)
+
+    def __getitem__(self, i):
+        return self.owner.exponents[i]
+
+    def indented(self, nl: str) -> str:
+        # every row is the all-zero row with each nonzero written over its 0
+        inner, cell = nl + "  ", nl + "    "
+        width = len(self.owner.basis)
+        zeros = "[" + cell + ("," + cell).join(["0"] * width) + inner + "]" if width else "[]"
+        first, step = len(cell) + 1, len(cell) + 2  # where column 0 is, and the stride
+        parts = ["[", inner]
+        for pairs in self.owner.nonzeros:
+            at = 0
+            for c, e in pairs:
+                cut = first + c * step
+                parts += (zeros[at:cut], int.__repr__(e))
+                at = cut + 1
+            parts += (zeros[at:], "," + inner)
+        parts[-1] = nl + "]"
+        return "".join(parts)
+
+
+class _CoverSets(_HeldRows):
+    """The sets of a ``CoverInstance``, from its masks."""
+
+    def __len__(self) -> int:
+        return len(self.owner.masks)
+
+    def __getitem__(self, i):
+        return self.owner.sets[i]
+
+    def indented(self, nl: str) -> str:
+        # a set of more than half the universe is the full row with its
+        # missing labels cut out; a smaller one joins its labels
+        inner, cell = nl + "  ", nl + "    "
+        sep = "," + cell
+        n = self.owner.universe_size
+        labels = [str(j) for j in range(n)]
+        full_row = sep.join(labels)
+        starts = list(accumulate((len(label) + len(sep) for label in labels), initial=0))
+        universe = (1 << n) - 1
+        parts = ["[", inner]
+        for m in self.owner.masks:
+            if not m:
+                parts.append("[]")
+            elif 2 * m.bit_count() > n:
+                parts += ("[", cell)
+                lo = 0  # the first label of the run kept so far
+                for j in _set_bits(universe ^ m):
+                    if j > lo:
+                        parts += (full_row[starts[lo] : starts[j] - len(sep)], sep)
+                    lo = j + 1
+                if lo < n:
+                    parts += (full_row[starts[lo] :], sep)
+                parts[-1] = inner + "]"
+            else:
+                parts += ("[", cell, sep.join(map(labels.__getitem__, _set_bits(m))), inner, "]")
+            parts.append("," + inner)
+        parts[-1] = nl + "]"
+        return "".join(parts)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending, one ``find`` per bit: the sets
+    written are mostly a few labels, or all but a few, of a wide universe."""
+    digits = bin(mask)[:1:-1]
+    bits = []
+    j = digits.find("1")
+    while j >= 0:
+        bits.append(j)
+        j = digits.find("1", j + 1)
+    return bits
 
 
 def parse_int(value: Any, field: str) -> int:
@@ -118,7 +213,7 @@ def instance_from_payload(payload: Any) -> ProblemInstance:
 
 def cover_instance_to_payload(inst: CoverInstance) -> dict:
     return {
-        "sets": inst.sets,
+        "sets": _CoverSets(inst),
         "universe_size": inst.universe_size,
     }
 
@@ -126,7 +221,7 @@ def cover_instance_to_payload(inst: CoverInstance) -> dict:
 def cover_instance_from_payload(payload: Any) -> CoverInstance:
     _require(payload, "sets", "universe_size")
     raw = payload["sets"]
-    if not isinstance(raw, (list, tuple)):
+    if not isinstance(raw, (list, tuple, _CoverSets)):
         raise DomainError("field 'sets': expected a list of lists")
     return CoverInstance(
         universe_size=parse_int(payload["universe_size"], "universe_size"),
@@ -193,5 +288,5 @@ def basis_to_payload(cb: CoprimeBasis) -> dict:
     return {
         "basis": [str(p) for p in cb.basis],
         "elements": [str(x) for x in cb.source],
-        "exponents": cb.exponents,
+        "exponents": _ExponentRows(cb),
     }

@@ -22,6 +22,7 @@ maps so solutions can be pulled back.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from gcdlcm.basis import compute_basis, exponent_profile
@@ -58,10 +59,11 @@ def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
 
     Columns on which some element of b attains the ``stat`` exponent need
     no covering and are dropped from the universe. Each element of a owns
-    the remaining columns it attains, as a bitmask built in the one walk
-    over its row; equal masks collapse to the smallest owner, so
-    reduction-produced instances have pairwise-distinct sets. The masks
-    go to the search as they are, through ``CoverInstance.from_masks``.
+    the remaining columns it attains, as a bitmask built from the nonzeros
+    of its row alone (``_attained``); equal masks collapse to the smallest
+    owner, so reduction-produced instances have pairwise-distinct sets.
+    The masks go to the search as they are, through
+    ``CoverInstance.from_masks``.
 
     a and b must be canonical sets, not both empty, as a
     ``ProblemInstance`` holds them; they are used as they are, and the
@@ -70,19 +72,40 @@ def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     cb = compute_basis(a + b)
     profile = exponent_profile(cb, stat)
     extreme = [profile[p] for p in cb.basis]
-    a_members, b_members = set(a), set(b)
-    b_rows = [row for x, row in zip(cb.source, cb.exponents) if x in b_members]
-    cols = [c for c, e in enumerate(extreme) if all(row[c] != e for row in b_rows)]
-    bits = [(1 << j, c, extreme[c]) for j, c in enumerate(cols)]
+    row = dict(zip(cb.source, cb.nonzeros))
+    dropped = 0
+    for m in _attained([row[x] for x in b], extreme, range(len(extreme))):
+        dropped |= m
+    cols = [c for c in range(len(extreme)) if not dropped >> c & 1]
     owner: dict[int, int] = {}  # mask -> smallest owner
-    for x, row in zip(cb.source, cb.exponents):
-        if x in a_members:
-            owner.setdefault(sum(bit for bit, c, e in bits if row[c] == e), x)
+    for x, m in zip(a, _attained([row[x] for x in a], extreme, cols)):
+        owner.setdefault(m, x)
     return CoverReduction(
         cover=CoverInstance.from_masks(len(cols), owner),
         universe_labels=tuple(cb.basis[c] for c in cols),
         set_owners=tuple(owner.values()),
     )
+
+
+def _attained(
+    rows: list[tuple[tuple[int, int], ...]], extreme: list[int], cols: Sequence[int]
+) -> list[int]:
+    """Per row of (column, exponent) nonzeros, the bitmask of the columns
+    it attains among ``cols``, bit j standing for ``cols[j]``. A row
+    attains a column where its entry is the extreme. A column whose
+    extreme is 0 (a min that some row lacks) it attains exactly where it
+    holds no entry, so that bit starts set and the row's entry clears it."""
+    bit = [0] * len(extreme)
+    zero = [0] * len(extreme)  # the bits of the columns with extreme 0
+    for j, c in enumerate(cols):
+        bit[c] = 1 << j
+        if not extreme[c]:
+            zero[c] = bit[c]
+    held_by_none = sum(zero)
+    return [
+        sum((bit[c] if e == extreme[c] else -zero[c] for c, e in row), held_by_none)
+        for row in rows
+    ]
 
 
 @dataclass(frozen=True)

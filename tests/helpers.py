@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the library internals:
 plain exhaustive enumeration over subsets (whole, or per connected
 component of a cover), math.gcd/math.lcm for set values, the all-pairs
-fixed point for coprime refinement, and the bit size of an input.
-Anything the solvers claim is checked against these.
+fixed point for coprime refinement, the bit size of an input, and the
+exponent profile and attainment cover walked over every cell of a dense
+exponent matrix. Anything the solvers claim is checked against these.
 """
 
 from __future__ import annotations
@@ -143,3 +144,49 @@ def pairwise_refine(entries: set[int]) -> list[int]:
             if v > 1:
                 merged.add(v)
         current = sorted(merged)
+
+
+def dense_exponents(values, basis) -> list[list[int]]:
+    """One row per value, one cell per basis element: the exponent of each
+    basis element in the value, found by dividing."""
+    rows = []
+    for x in values:
+        row = []
+        for p in basis:
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            row.append(e)
+        assert x == 1, "not a product of basis powers"
+        rows.append(row)
+    return rows
+
+
+def dense_exponent_profile(values, basis, stat: str) -> dict[int, int]:
+    """Per basis element, the max or min exponent over every cell of its
+    column."""
+    agg = max if stat == "max" else min
+    columns = zip(*dense_exponents(values, basis))
+    return dict(zip(basis, map(agg, columns)))
+
+
+def dense_attainment_reduction(a, b, stat: str):
+    """(universe size, masks, universe labels, set owners) of the
+    attainment cover of a next to b, by a walk over every cell.
+
+    The basis is the pairwise refinement of a | b. A column leaves the
+    universe when some element of b attains its extreme; each element of
+    a, ascending, owns the bitmask of the remaining columns it attains,
+    and equal masks keep the smallest owner.
+    """
+    a, b = sorted(set(a)), sorted(set(b))
+    basis = pairwise_refine({v for v in a + b if v > 1})
+    extreme = dense_exponent_profile(sorted(set(a + b)), basis, stat)
+    row = dict(zip(a + b, dense_exponents(a + b, basis)))
+    cols = [c for c, p in enumerate(basis) if all(row[x][c] != extreme[p] for x in b)]
+    owner = {}
+    for x in a:
+        attained = (j for j, c in enumerate(cols) if row[x][c] == extreme[basis[c]])
+        owner.setdefault(sum(1 << j for j in attained), x)
+    return len(cols), tuple(owner), tuple(basis[c] for c in cols), tuple(owner.values())

@@ -9,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from gcdlcm import cli
+from gcdlcm import (
+    CirculantGraph,
+    CoprimeBasis,
+    CoverInstance,
+    ProblemInstance,
+    cli,
+    decide,
+    prune_links,
+    solve,
+)
 from gcdlcm.generate import generate_instance
 from gcdlcm.numeric import first_primes
 from helpers import run_cli
@@ -278,3 +287,62 @@ def test_cli_output_needs_no_pure_python_encoder(monkeypatch, capsys, unlimited_
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     assert [stdout_of(argv) for argv in calls] == plain
+
+
+def test_cli_and_library_build_no_dense_exponents_or_set_lists(
+    monkeypatch, capsys, unlimited_int_digits
+):
+    """The basis's exponents are read from its rows of nonzeros and a
+    cover's sets from its masks: ``solve``, forward ``reduce`` and
+    ``basis`` never build the dense ``CoprimeBasis.exponents`` or the
+    index lists of ``CoverInstance.sets``, in the CLI or the library."""
+    gcd_inst = generate_instance(1, 200, 10**4, b_count=2)
+    lcm_inst = generate_instance(2, 60, 10**4, mode="max-lcm", b_count=2)
+    calls = []
+    for inst in (gcd_inst, lcm_inst):
+        args = ["--mode", inst.mode, "-A", *map(str, inst.a), "-B", *map(str, inst.b)]
+        calls += [["solve", *args], ["basis", *args], ["reduce", *args]]
+    calls.append(["solve", "--mode", "max-lcm", "-A", "4", "6", "-B", "8"])
+    graphs = [CirculantGraph(node_count=60, links=(6, 10, 15, 24)), CirculantGraph(12, (3, 4, 6))]
+
+    def outputs():
+        cli_out = [(cli.main(argv), capsys.readouterr().out) for argv in calls]
+        library = [
+            (solve(inst, method).s, [decide(inst, k) for k in range(4)])
+            for inst in (gcd_inst, lcm_inst, ProblemInstance((4, 6), (8,), "max-lcm"))
+            for method in ("exact", "greedy")
+        ]
+        pruned = [prune_links(g, method) for g in graphs for method in ("exact", "greedy")]
+        return cli_out, library, pruned
+
+    plain = outputs()
+
+    def refuse(self):
+        raise AssertionError("a dense view was built")
+
+    monkeypatch.setattr(CoprimeBasis, "exponents", property(refuse))
+    monkeypatch.setattr(CoverInstance, "sets", property(refuse))
+    assert outputs() == plain
+
+
+def test_solve_with_an_owner_of_no_columns():
+    """b attains the max exponent of 2, and 4 attains no other: 4 owns
+    the empty set, which stays a set of its own."""
+    r = run_cli("solve", "-A", "4", "6", "-B", "8", "--mode", "max-lcm")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "{\n"
+        '  "S": [\n'
+        '    "6"\n'
+        "  ],\n"
+        '  "achieved": "24",\n'
+        '  "method": "exact",\n'
+        '  "optimal": true,\n'
+        '  "size": 1,\n'
+        '  "stats": {\n'
+        '    "num_sets": 2,\n'
+        '    "universe_size": 1\n'
+        "  },\n"
+        '  "target": "24"\n'
+        "}\n"
+    )

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcdlcm import CoverInstance, DomainError, ProblemInstance, solve
+from gcdlcm import CoprimeBasis, CoverInstance, DomainError, ProblemInstance, solve
 from gcdlcm.jsonio import (
+    basis_to_payload,
     canonical_json,
     cover_instance_from_payload,
     cover_instance_to_payload,
@@ -130,3 +131,77 @@ def test_instance_round_trip_random(a, b, mode):
     inst = ProblemInstance(a=tuple(a), b=tuple(b), mode=mode)
     rebuilt = instance_from_payload(json.loads(canonical_json(instance_to_payload(inst))))
     assert rebuilt == inst
+
+
+# -- rows written from nonzeros and masks --------------------------------
+
+# widths where the labels' digit counts change, and a few between
+_WIDTHS = st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000])
+
+
+@st.composite
+def _sparse_rows(draw):
+    """A width and rows of (column, exponent) nonzeros, ascending by column."""
+    width = draw(_WIDTHS)
+    rows = []
+    for _ in range(draw(st.integers(0, 4 if width > 100 else 8))):
+        cols = draw(st.sets(st.integers(0, width - 1), max_size=6)) if width else set()
+        if width and draw(st.booleans()):
+            cols |= {0, width - 1}
+        exps = st.one_of(st.integers(1, 3), st.integers(9, 11), st.integers(99, 100))
+        rows.append(tuple((c, draw(exps)) for c in sorted(cols)))
+    return width, tuple(rows)
+
+
+@st.composite
+def _mask_rows(draw):
+    """A universe size and masks: empty, full, near-full, sparse, random."""
+    n = draw(_WIDTHS)
+    full = (1 << n) - 1
+    some_bits = st.lists(st.integers(0, n - 1), max_size=5) if n else st.just([])
+    few = some_bits.map(lambda bits: sum({1 << j for j in bits}))
+    mask = st.one_of(
+        st.just(0),
+        st.just(full),
+        few.map(lambda m: full ^ m),
+        few,
+        st.integers(0, full),
+    )
+    return n, tuple(draw(st.lists(mask, max_size=4 if n > 100 else 8)))
+
+
+def _nest(payload, depth):
+    """``payload`` ``depth`` levels down, alternating dicts and lists."""
+    for level in range(depth):
+        payload = {"x": payload} if level % 2 else [payload]
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_rows(), _mask_rows(), st.integers(0, 3))
+@example((0, ((),)), (0, ()), 0)  # the basis of [1] and a cover with no sets
+@example((0, ((), ())), (0, (0,)), 1)  # rows of width 0, an empty set
+@example((3, ((), ((0, 10), (2, 12)))), (3, (0, 7, 6, 1)), 0)
+def test_rows_and_sets_write_what_json_dumps_writes_for_dense_lists(sparse, masks, depth):
+    width, nonzeros = sparse
+    cb = CoprimeBasis(
+        source=tuple(range(1, len(nonzeros) + 1)),
+        basis=tuple(range(2, width + 2)),
+        nonzeros=nonzeros,
+    )
+    dense_rows = [[dict(row).get(c, 0) for c in range(width)] for row in nonzeros]
+    n, mask_list = masks
+    cover = CoverInstance.from_masks(n, mask_list)
+    dense_sets = [[j for j in range(n) if m >> j & 1] for m in mask_list]
+    payload = _nest([basis_to_payload(cb), cover_instance_to_payload(cover)], depth)
+    dense = [
+        {
+            "basis": [str(p) for p in cb.basis],
+            "elements": [str(x) for x in cb.source],
+            "exponents": dense_rows,
+        },
+        {"sets": dense_sets, "universe_size": n},
+    ]
+    expected = json.dumps(_nest(dense, depth), indent=2, sort_keys=True) + "\n"
+    assert canonical_json(payload) == expected
+

@@ -10,7 +10,12 @@ Corpus: ``generate_instance`` seeds of max-lcm 45@1e4 with b=2, min-gcd
 60@1e9 with b=3 and min-gcd 200@1e6 (exact and greedy ``solve``, forward
 ``reduce``, ``basis``); random circulant graphs (exact and greedy
 pruning, disconnected ones included); random small covers with repeats,
-unsorted sets and uncoverable elements, reduced backward in both modes.
+unsorted sets and uncoverable elements, reduced backward in both modes;
+hand-built shapes of the exponent matrix (``basis`` and forward
+``reduce`` in both modes): a 1 in A, the basis of [1], a gcd above 1, B
+attaining column extremes, an owner with an empty set, exponents of ten
+and more, nonzeros in the first and last column, and 9, 10, 99 and 100
+columns, where label digit counts change, with near-full sets.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 
 import pytest
 
 from gcdlcm import cli
 from gcdlcm.generate import SplitMix64, generate_instance
+from gcdlcm.numeric import first_primes
 
 INSTANCES = (
     [("max-lcm", 45, 10**4, 2, seed) for seed in range(10)]
@@ -37,6 +44,31 @@ def _instance_args(mode, count, max_value, b_count, seed):
     inst = generate_instance(seed, count, max_value, mode, b_count)
     args = ["--mode", mode, "-A", *map(str, inst.a)]
     return args + (["-B", *map(str, inst.b)] if inst.b else [])
+
+
+def _shape_instances():
+    primes = tuple(first_primes(100))
+    yield (1,), ()
+    yield (1, 6, 10, 15), ()
+    yield (4,), (4,)
+    yield (4, 6), (8,)
+    yield (12, 18, 30), ()
+    yield (12, 18, 30, 45), (6,)
+    yield (2**12, 3**10, 5, 6**11), (3**10,)
+    yield (2 * 3 * 5 * 7 * 11, 2, 11, 1), (7,)
+    for n in (9, 10, 99, 100):
+        total = math.prod(primes[:n])
+        yield primes[:n] + (1,), ()
+        yield tuple(total // p for p in primes[:n]), ()
+        yield tuple(total // p for p in primes[1:n]), (2 * primes[n - 1] ** 3,)
+
+
+def _shape_calls():
+    for a, b in _shape_instances():
+        args = ["-A", *map(str, a)] + (["-B", *map(str, b)] if b else [])
+        yield ["basis", *args]
+        for mode in ("min-gcd", "max-lcm"):
+            yield ["reduce", "--mode", mode, *args]
 
 
 def _circulant_calls():
@@ -70,6 +102,7 @@ GROUPS = {
     "basis": lambda: (["basis", *_instance_args(*i)] for i in INSTANCES),
     "circulant": _circulant_calls,
     "reduce-backward": _backward_calls,
+    "sparse-shapes": _shape_calls,
 }
 
 DIGESTS = {
@@ -79,6 +112,7 @@ DIGESTS = {
     "basis": "1a9a40c7d238ab662e065adca2b61a408c4ea40e9411fd935c6d5e0de1d72934",
     "circulant": "a03f28e986068eec3c84dc60bf9d53d40dce46839a99f4b4af817fde9294a9a2",
     "reduce-backward": "9ec607b4c30fb83b5bcd4d1d048808854f00a2bef4ace760eecb6dba050cc914",
+    "sparse-shapes": "f3f605a7c9ee0a2594e5ec7d799f70ba53a15d76c5d0ff5394aaacb287d64ac8",
 }
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcdlcm import (
@@ -14,13 +14,24 @@ from gcdlcm import (
     DomainError,
     InfeasibleError,
     ProblemInstance,
+    compute_basis,
     cover_to_gcd,
     cover_to_lcm,
     exact_cover,
+    exponent_profile,
     gcd_set,
     reduce_instance,
 )
-from helpers import exhaustive_min_cover, exhaustive_min_subset, input_size, set_value
+from gcdlcm.reductions import attainment_reduction
+from helpers import (
+    dense_attainment_reduction,
+    dense_exponent_profile,
+    dense_exponents,
+    exhaustive_min_cover,
+    exhaustive_min_subset,
+    input_size,
+    set_value,
+)
 
 nat_sets = st.lists(st.integers(min_value=1, max_value=10**4), min_size=1, max_size=8)
 
@@ -126,6 +137,43 @@ def test_forward_reduction_dedups_equal_sets():
     assert len(red.cover.sets) == len(set(red.cover.sets))
     assert 10 in red.set_owners
     assert 20 not in red.set_owners
+
+
+# products of high powers of a few small primes share columns, often at
+# equal exponents; 1 gives an all-zero row
+shared_powers = st.one_of(
+    st.just(1),
+    st.lists(
+        st.tuples(st.sampled_from((2, 3, 5, 7, 11)), st.integers(min_value=1, max_value=12)),
+        max_size=3,
+    ).map(lambda factors: math.prod(p**e for p, e in factors)),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(shared_powers, min_size=1, max_size=8),
+    st.lists(shared_powers, max_size=3),
+    st.sampled_from((1, 2, 12, 30)),
+    st.sampled_from(("min", "max")),
+)
+@example([1, 6, 10, 15], [], 1, "min")  # an all-zero row attains every zero minimum
+@example([1, 6, 10, 15], [], 1, "max")  # ... and no maximum
+@example([4], [4], 1, "min")  # gcd 4: a positive-min column, attained by b
+@example([12, 18, 30], [], 1, "min")  # gcd 6: positive-min columns, attained in a
+@example([3, 5], [7], 2, "min")  # b nonempty, gcd 2 above 1
+@example([4, 6], [8], 1, "max")  # b attains the max at 2; 4 owns an empty set
+@example([2**12, 3**10, 5, 6**11], [3**10], 1, "max")  # exponents of ten and more
+def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
+    a = sorted({x * common for x in a})
+    b = sorted({x * common for x in b})
+    cb = compute_basis(a + b)
+    assert [list(row) for row in cb.exponents] == dense_exponents(cb.source, cb.basis)
+    assert exponent_profile(cb, stat) == dense_exponent_profile(cb.source, cb.basis, stat)
+    red = attainment_reduction(tuple(a), tuple(b), stat)
+    sparse = (red.cover.universe_size, red.cover.masks, red.universe_labels, red.set_owners)
+    assert sparse == dense_attainment_reduction(a, b, stat)
 
 
 def test_forward_reduction_rejects_empty():
