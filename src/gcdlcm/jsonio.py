@@ -8,7 +8,10 @@ runs the pure-Python encoder, which costs more than computing a large
 basis or reduction. The two large lists of rows, a basis's exponent
 matrix and a cover's sets, stay in the form their owner holds them (rows
 of nonzeros, bitmasks) and are written from it, as slices of one
-precomputed row, without building the dense rows. Integers that can be
+precomputed row, without building the dense rows. In a payload each is
+a read-only sequence view, not a list: its rows read as the dense
+tuples, ``canonical_json`` writes it, and ``json.dumps`` takes it only
+with ``default=list`` (which builds the dense rows). Integers that can be
 arbitrarily large (set elements, gcd/lcm values, basis elements)
 serialize as decimal strings; universe indices, exponents, and sizes
 stay JSON numbers. Parsers accept either form for integer fields and
@@ -26,7 +29,7 @@ from typing import Any
 from gcdlcm.basis import CoprimeBasis
 from gcdlcm.errors import DomainError
 from gcdlcm.reductions import BEliminationMap, CoverImage, CoverReduction
-from gcdlcm.setcover import CoverInstance
+from gcdlcm.setcover import CoverInstance, set_bits
 from gcdlcm.solver import ProblemInstance, SubsetSolution
 
 
@@ -125,7 +128,7 @@ class _CoverSets(_HeldRows):
             elif 2 * m.bit_count() > n:
                 parts += ("[", cell)
                 lo = 0  # the first label of the run kept so far
-                for j in _set_bits(universe ^ m):
+                for j in set_bits(universe ^ m):
                     if j > lo:
                         parts += (full_row[starts[lo] : starts[j] - len(sep)], sep)
                     lo = j + 1
@@ -133,22 +136,10 @@ class _CoverSets(_HeldRows):
                     parts += (full_row[starts[lo] :], sep)
                 parts[-1] = inner + "]"
             else:
-                parts += ("[", cell, sep.join(map(labels.__getitem__, _set_bits(m))), inner, "]")
+                parts += ("[", cell, sep.join(map(labels.__getitem__, set_bits(m))), inner, "]")
             parts.append("," + inner)
         parts[-1] = nl + "]"
         return "".join(parts)
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending, one ``find`` per bit: the sets
-    written are mostly a few labels, or all but a few, of a wide universe."""
-    digits = bin(mask)[:1:-1]
-    bits = []
-    j = digits.find("1")
-    while j >= 0:
-        bits.append(j)
-        j = digits.find("1", j + 1)
-    return bits
 
 
 def parse_int(value: Any, field: str) -> int:
@@ -212,6 +203,7 @@ def instance_from_payload(payload: Any) -> ProblemInstance:
 
 
 def cover_instance_to_payload(inst: CoverInstance) -> dict:
+    """``sets`` is a view of the masks (see the module docstring)."""
     return {
         "sets": _CoverSets(inst),
         "universe_size": inst.universe_size,
@@ -258,6 +250,7 @@ def subset_solution_to_payload(sol: SubsetSolution, include_timing: bool = False
 def reduction_to_payload(
     mode: str, red: CoverReduction, bem: BEliminationMap | None
 ) -> dict:
+    """``cover.sets`` is a view of the masks (see the module docstring)."""
     payload: dict[str, Any] = {
         "cover": cover_instance_to_payload(red.cover),
         "mode": mode,
@@ -285,6 +278,7 @@ def cover_image_to_payload(mode: str, img: CoverImage) -> dict:
 
 
 def basis_to_payload(cb: CoprimeBasis) -> dict:
+    """``exponents`` is a view of the nonzeros (see the module docstring)."""
     return {
         "basis": [str(p) for p in cb.basis],
         "elements": [str(x) for x in cb.source],

@@ -72,13 +72,17 @@ def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     cb = compute_basis(a + b)
     profile = exponent_profile(cb, stat)
     extreme = [profile[p] for p in cb.basis]
-    row = dict(zip(cb.source, cb.nonzeros))
-    dropped = 0
-    for m in _attained([row[x] for x in b], extreme, range(len(extreme))):
-        dropped |= m
-    cols = [c for c in range(len(extreme)) if not dropped >> c & 1]
+    cols: Sequence[int] = range(len(extreme))
+    a_rows = cb.nonzeros  # a is the source when b is empty
+    if b:
+        row = dict(zip(cb.source, cb.nonzeros))
+        dropped = 0
+        for m in _attained([row[x] for x in b], extreme, cols):
+            dropped |= m
+        cols = [c for c in cols if not dropped >> c & 1]
+        a_rows = [row[x] for x in a]
     owner: dict[int, int] = {}  # mask -> smallest owner
-    for x, m in zip(a, _attained([row[x] for x in a], extreme, cols)):
+    for x, m in zip(a, _attained(a_rows, extreme, cols)):
         owner.setdefault(m, x)
     return CoverReduction(
         cover=CoverInstance.from_masks(len(cols), owner),
@@ -88,7 +92,7 @@ def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
 
 
 def _attained(
-    rows: list[tuple[tuple[int, int], ...]], extreme: list[int], cols: Sequence[int]
+    rows: Sequence[tuple[tuple[int, int], ...]], extreme: list[int], cols: Sequence[int]
 ) -> list[int]:
     """Per row of (column, exponent) nonzeros, the bitmask of the columns
     it attains among ``cols``, bit j standing for ``cols[j]``. A row

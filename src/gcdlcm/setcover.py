@@ -16,7 +16,7 @@ import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, count
+from itertools import accumulate
 
 from gcdlcm.errors import DomainError, InfeasibleError
 
@@ -56,15 +56,19 @@ class CoverInstance:
 
     @cached_property
     def sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(_elements, self.masks))
+        return tuple(map(set_bits, self.masks))
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _elements(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending."""
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+def set_bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending, one ``find`` per bit: the masks
+    read are mostly a few elements of a wide universe."""
+    digits = bin(mask)[:1:-1]
+    bits = []
+    j = digits.find("1")
+    while j >= 0:
+        bits.append(j)
+        j = digits.find("1", j + 1)
+    return tuple(bits)
 
 
 @dataclass(frozen=True)
@@ -297,7 +301,7 @@ def _packing(masks: list[int], full: int):
     holders: list[list[int]] = [[] for _ in range(full.bit_length())]
     reach = [0] * full.bit_length()  # element -> union of the sets holding it
     for i, m in enumerate(masks):
-        for e in _elements(m):
+        for e in set_bits(m):
             holders[e].append(i)
             reach[e] |= m
     by_count: dict[int, int] = {}  # holder count -> bitmask of the elements

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcdlcm import CoprimeBasis, CoverInstance, DomainError, ProblemInstance, solve
+from gcdlcm import (
+    CoprimeBasis,
+    CoverInstance,
+    DomainError,
+    ProblemInstance,
+    compute_basis,
+    reduce_instance,
+    solve,
+)
 from gcdlcm.jsonio import (
     basis_to_payload,
     canonical_json,
@@ -18,6 +26,7 @@ from gcdlcm.jsonio import (
     instance_from_payload,
     instance_to_payload,
     parse_int,
+    reduction_to_payload,
     subset_solution_to_payload,
 )
 
@@ -205,3 +214,24 @@ def test_rows_and_sets_write_what_json_dumps_writes_for_dense_lists(sparse, mask
     expected = json.dumps(_nest(dense, depth), indent=2, sort_keys=True) + "\n"
     assert canonical_json(payload) == expected
 
+
+
+def test_payload_row_lists_are_views_that_dump_with_default_list():
+    """The exponent matrix and the cover sets in a payload are read-only
+    views, not lists: their rows read as the dense tuples, ``canonical_json``
+    writes them, and ``json.dumps`` takes them with ``default=list``."""
+    cb = compute_basis((12, 18, 35))
+    red, bem = reduce_instance(ProblemInstance(a=(12, 18, 30, 45), b=(), mode="min-gcd"))
+    reduction = reduction_to_payload("min-gcd", red, bem)
+    for payload, view, dense in [
+        (basis_to_payload(cb), lambda p: p["exponents"], cb.exponents),
+        (cover_instance_to_payload(red.cover), lambda p: p["sets"], red.cover.sets),
+        (reduction, lambda p: p["cover"]["sets"], red.cover.sets),
+    ]:
+        assert not isinstance(view(payload), list)
+        assert tuple(view(payload)) == dense
+        with pytest.raises(TypeError):
+            json.dumps(payload)
+        text = canonical_json(payload)
+        assert json.dumps(payload, indent=2, sort_keys=True, default=list) + "\n" == text
+        assert view(json.loads(text)) == [list(row) for row in dense]
