@@ -3,27 +3,50 @@
 A coprime basis of a set A is a list of pairwise coprime integers >= 2
 such that every element of A is exactly a product of powers of basis
 elements. Bases are not unique in general; the one computed here is the
-natural coprime base, at which every refinement by gcd splits ends,
-whatever the order of the splits, so the result is deterministic. It is
-built from a worklist that splits each new value against a
-pairwise-coprime list, without rescanning pairs already known coprime.
-The list sits in the leaves of a product tree, so finding an entry that
-shares a factor with a value takes O(log |list|) gcds, not a scan of the
-list. Exponents come from trial division of each element by the basis,
-which stops once the element is used up. A row keeps only its nonzero
-exponents: on distinct integers it has a few, against hundreds or
-thousands of basis elements.
+natural coprime base N (Bernstein, "Factoring into coprimes in
+essentially linear time", J. Algorithms 54, 2005), which is unique, so
+the result is deterministic.
+
+It is built factor first. Trial division by the 168 primes below 1000
+strips each element, stopping once p * p exceeds what is left. A
+cofactor left below 1009**2 has no prime factor below 1009, so it is 1
+or prime. Any other cofactor is rough. Only the rough cofactors, with
+the known primes that divide one of them, are refined by gcd splits: a
+worklist splits each value against a pairwise-coprime list held in the
+leaves of a product tree, so finding an entry that shares a factor with
+a value takes O(log |list|) gcds. Trial division over that rough base
+extracts their exponents. On elements up to 10**6 nothing is rough and
+no gcd split runs.
+
+The factors found (small primes, known primes, rough base entries) form
+a coprime base of A, each with an exponent vector over the elements.
+Dividing a vector by the gcd g of its entries gives its primitive
+direction; the factors q of one direction become one basis element, the
+product of their q**g. Why that is N: the grouped set is a coprime base
+whose exponent vectors are primitive and pairwise non-proportional. Any
+coprime base refines N, so each n in N is the product of c**k_c over a
+set of entries c, disjoint for distinct n, with e_c = k_c * e_n. Every
+entry lies in one of these sets, since it divides some element. Distinct
+directions leave one c per n, and a primitive e_c forces k_c = 1, so
+c = n. The rows come straight from the directions, and a row keeps only
+its nonzero exponents: on distinct integers it has a few, against
+hundreds or thousands of basis elements.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 from gcdlcm.errors import DomainError
-from gcdlcm.numeric import NatSet, natset
+from gcdlcm.numeric import NatSet, first_primes, natset
+
+_SMALL_PRIMES = first_primes(168)  # the primes below 1000; the next one is 1009
+_SMALL_SQUARES = [(p, p * p) for p in _SMALL_PRIMES]
+_PRIME_BELOW = 1009**2  # a cofactor free of the small primes and below this is prime
 
 
 @dataclass(frozen=True)
@@ -140,33 +163,76 @@ def _refine(values: Iterable[int]) -> list[int]:
 
 
 def compute_basis(a: Iterable[int]) -> CoprimeBasis:
-    """Coprime basis of a set of positive integers.
+    """Coprime basis of a set of positive integers, factor first.
 
-    Elements equal to 1 get an empty row and never enter the refinement.
-    Every other element is a product of powers of the basis, so one pass
-    of division extracts its nonzero exponents; the pass stops once the
-    element is used up.
+    Elements equal to 1 get an empty row. The factors come from trial
+    division by the primes below 1000 and from ``_refine`` on the rough
+    cofactors alone; the factors of one primitive exponent direction make
+    one entry (see the module docstring), and the rows are read off the
+    directions with no second pass of division.
     """
     source = natset(a)
-    basis = tuple(_refine(v for v in source if v > 1))
-    rows: list[tuple[tuple[int, int], ...]] = []
-    for v in source:
-        pairs = []
-        rem = v
-        if rem > 1:
-            for col, p in enumerate(basis):
-                if rem % p == 0:
-                    e = 0
-                    while rem % p == 0:
-                        rem //= p
+    # factor -> its (row, exponent) pairs
+    vectors: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    rough: list[tuple[int, int]] = []  # (row, cofactor)
+    for row, v in enumerate(source):
+        for p, square in _SMALL_SQUARES:
+            if square > v:
+                break
+            if not v % p:
+                v //= p
+                e = 1
+                while not v % p:
+                    v //= p
+                    e += 1
+                vectors[p].append((row, e))
+        if v >= _PRIME_BELOW:
+            rough.append((row, v))
+        elif v > 1:
+            vectors[v].append((row, 1))
+    if rough:
+        cofactors = [v for _, v in rough]
+        product = math.prod(cofactors)
+        shared = [q for q in vectors if q > _SMALL_PRIMES[-1] and not product % q]
+        base = _refine(cofactors + shared)
+        unsplit = set(base)  # most rough cofactors come out of _refine whole
+        for row, v in rough:
+            if v in unsplit:
+                vectors[v].append((row, 1))
+                continue
+            for p in base:
+                if not v % p:
+                    v //= p
+                    e = 1
+                    while not v % p:
+                        v //= p
                         e += 1
-                    pairs.append((col, e))
-                    if rem == 1:
+                    vectors[p].append((row, e))
+                    if v == 1:
                         break
-        if rem != 1:
-            raise RuntimeError("internal: an element is not a product of basis powers")
-        rows.append(tuple(pairs))
-    return CoprimeBasis(source=source, basis=basis, nonzeros=tuple(rows))
+            if v != 1:
+                raise RuntimeError("internal: an element is not a product of basis powers")
+    # primitive direction -> entry. Directions are frozensets and the gcd
+    # reads a set of exponents, so no tuple as long as a vector is built:
+    # CPython 3.11 keeps freed 20-item tuples on a free list it never reuses.
+    entries: dict[frozenset[tuple[int, int]], int] = {}
+    for q, vector in vectors.items():
+        g = math.gcd(*{e for _, e in vector})
+        if g > 1:
+            vector = [(row, e // g) for row, e in vector]
+            q **= g
+        direction = frozenset(vector)
+        entries[direction] = entries.get(direction, 1) * q
+    columns = sorted(entries, key=entries.__getitem__)
+    rows: list[list[tuple[int, int]]] = [[] for _ in source]
+    for col, direction in enumerate(columns):
+        for row, e in direction:
+            rows[row].append((col, e))
+    return CoprimeBasis(
+        source=source,
+        basis=tuple([entries[direction] for direction in columns]),
+        nonzeros=tuple([tuple(pairs) for pairs in rows]),
+    )
 
 
 def exponent_profile(cb: CoprimeBasis, stat: str) -> dict[int, int]:

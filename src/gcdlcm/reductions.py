@@ -86,7 +86,7 @@ def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
         owner.setdefault(m, x)
     return CoverReduction(
         cover=CoverInstance.from_masks(len(cols), owner),
-        universe_labels=tuple(cb.basis[c] for c in cols),
+        universe_labels=tuple([cb.basis[c] for c in cols]),
         set_owners=tuple(owner.values()),
     )
 

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from gcdlcm import (
     DomainError,
+    basis,
     compute_basis,
     exponent_profile,
     gcd_set,
     generate_instance,
     lcm_set,
 )
-from helpers import pairwise_refine
+from helpers import dense_exponents, pairwise_refine
 
 
 def assert_valid_basis(cb):
@@ -161,7 +162,9 @@ def test_basis_matches_pairwise_refinement_on_shared_prime_powers(values):
 
 def test_refinement_gcd_calls_grow_with_the_log_of_the_basis(monkeypatch):
     # a scan of the whole coprime list per value made 2,176 calls per
-    # value here; a descent of the product tree makes about 24
+    # value here; a descent of the product tree makes about 24. The
+    # values are refined directly: compute_basis factors values this
+    # small over the primes below 1000 and never refines them.
     values = generate_instance(1, 2000, 10**4).a
     calls = 0
     real_gcd = math.gcd
@@ -172,5 +175,76 @@ def test_refinement_gcd_calls_grow_with_the_log_of_the_basis(monkeypatch):
         return real_gcd(*args)
 
     monkeypatch.setattr(math, "gcd", counting)
-    compute_basis(values)
+    basis._refine([v for v in values if v > 1])
     assert calls <= 100 * sum(v > 1 for v in values)
+
+
+def sieve_below(n):
+    return [k for k in range(2, n) if all(k % d for d in range(2, math.isqrt(k) + 1))]
+
+
+def test_trial_division_constants():
+    assert basis._SMALL_PRIMES == sieve_below(1000)
+    assert basis._PRIME_BELOW == 1009**2
+
+
+def test_factors_sharing_a_direction_form_one_entry():
+    assert compute_basis([6 * 10007]).basis == (60042,)
+    cb = compute_basis([6 * 10007, 6 * 10007**2])
+    assert cb.basis == (6, 10007)
+    assert cb.exponents == ((1, 1), (1, 2))
+    assert compute_basis([900]).basis == (900,)
+    assert compute_basis([1009**2]).basis == (1009**2,)
+    assert compute_basis([1009**2, 7 * 1009]).basis == (7, 1009)
+    # 1009 is known prime in the larger value and split off the rough
+    # cofactor of the smaller one; it shares the direction of 2
+    values = [2 * 1009 * 1013 * 1019, 2 * 3**30 * 1009]
+    assert compute_basis(values).basis == tuple(pairwise_refine(set(values)))
+
+
+# values on both sides of the trial bound: the primes around 1000 and
+# their powers, the smallest rough cofactors, small-times-large products
+# whose factors share an exponent direction, and rough cofactors split
+# by a known prime of another value
+BOUNDARY_PRIMES = (991, 997, 1009, 1013)
+LARGE_PRIMES = (1009, 1013, 10007, 999983)
+across_the_trial_bound = st.one_of(
+    st.tuples(st.sampled_from(BOUNDARY_PRIMES), st.integers(min_value=1, max_value=3)).map(
+        lambda t: t[0] ** t[1]
+    ),
+    st.sampled_from([1, 1009**2, 997 * 1009, 1009 * 1013, 1009 * 1013 * 1019, 7 * 1009]),
+    st.tuples(
+        st.sampled_from([1, 2, 6, 12, 991]),
+        st.sampled_from(LARGE_PRIMES),
+        st.integers(min_value=1, max_value=3),
+    ).map(lambda t: t[0] * t[1] ** t[2]),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(across_the_trial_bound, max_size=12).map(lambda values: values + values[::3]))
+def test_basis_matches_oracles_across_the_trial_bound(values):
+    cb = compute_basis(values)
+    assert cb.basis == tuple(pairwise_refine({v for v in values if v > 1}))
+    assert [list(row) for row in cb.exponents] == dense_exponents(cb.source, cb.basis)
+    assert_valid_basis(cb)
+
+
+def test_refine_sees_only_rough_cofactors(monkeypatch):
+    received = []
+    real_refine = basis._refine
+
+    def recording(values):
+        values = list(values)
+        received.extend(values)
+        return real_refine(values)
+
+    monkeypatch.setattr(basis, "_refine", recording)
+    for count, max_value in ((500, 10**4), (300, 10**6)):
+        compute_basis(generate_instance(1, count, max_value).a)
+    assert received == []
+    compute_basis(generate_instance(1, 200, 10**18).a)
+    assert received
+    small = math.prod(sieve_below(1000))
+    assert all(math.gcd(v, small) == 1 for v in received)
