@@ -1,9 +1,10 @@
 """Smallest subsets preserving the gcd or lcm of an integer set.
 
 The library reduces both objectives to minimum cover over a coprime
-basis, solves covers greedily or exactly, maps solutions back, and
-applies the machinery to pruning circulant-graph links. Everything,
-the exact cover search included, is pure Python.
+basis (``reductions.reduce_instance``), solves covers greedily or
+exactly, maps solutions back (``solver``), and applies the machinery to
+pruning circulant-graph links. Everything, the exact cover search
+included, is pure Python.
 """
 
 from gcdlcm.basis import CoprimeBasis, compute_basis, exponent_profile
@@ -23,6 +24,7 @@ from gcdlcm.reductions import (
     CoverReduction,
     cover_to_gcd,
     cover_to_lcm,
+    reduce_instance,
 )
 from gcdlcm.setcover import (
     CoverInstance,
@@ -38,7 +40,6 @@ from gcdlcm.solver import (
     SubsetSolution,
     brute_force,
     decide,
-    reduce_instance,
     solve,
 )
 

@@ -20,13 +20,12 @@ from gcdlcm.basis import compute_basis
 from gcdlcm.circulant import CirculantGraph, prune_links
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
 from gcdlcm.generate import generate_instance
-from gcdlcm.reductions import cover_to_gcd, cover_to_lcm
+from gcdlcm.reductions import cover_to_gcd, cover_to_lcm, reduce_instance
 from gcdlcm.solver import (
     BRUTE_FORCE_CAP,
     MODES,
     ProblemInstance,
     brute_force,
-    reduce_instance,
     solve,
 )
 

@@ -1,15 +1,19 @@
 """Transforms between subset-gcd/lcm problems and minimum cover.
 
-Forward direction: one attainment reduction builds every cover, and
-``solver.reduce_instance`` is the only way into it. A set a of positive
-integers, next to a required set b (possibly empty), becomes a cover
-instance over the coprime basis of a | b: each element of a owns the
-basis elements whose extreme exponent (max for lcm, min for gcd) it
-attains, and the basis elements some element of b already attains leave
-the universe. A subfamily of owner sets covers the universe exactly when
+Forward direction: ``reduce_instance`` is the one way from a checked
+``ProblemInstance`` to a cover, and every cover it builds is the
+attainment cover of a set a next to a required set b (possibly empty),
+over the coprime basis of a | b: each element of a owns the basis
+elements whose extreme exponent (max for lcm, min for gcd) it attains,
+and the basis elements some element of b already attains leave the
+universe. A subfamily of owner sets covers the universe exactly when
 the owners, together with b, preserve the lcm (resp. gcd) of a | b, so
-optimal sizes transfer both ways. The reduction takes the canonical sets
-of a checked ``ProblemInstance`` and checks nothing again.
+optimal sizes transfer both ways. Max-lcm covers a next to b as they
+are. Min-gcd first folds b into a, each x becoming gcd({x} | b), and
+covers that image with no b: on circulant link pruning, where b holds
+the node count, the basis of all of a | b would cost tens of times the
+whole solve. The instance's sets are canonical, and nothing here checks
+them again.
 
 Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
@@ -24,11 +28,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from gcdlcm.basis import compute_basis, exponent_profile
 from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
 from gcdlcm.setcover import CoverInstance, require_feasible
+
+if TYPE_CHECKING:
+    from gcdlcm.solver import ProblemInstance
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,27 @@ class CoverReduction:
     set_owners: tuple[int, ...]
 
 
-def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
+def reduce_instance(inst: ProblemInstance) -> tuple[CoverReduction, BEliminationMap | None]:
+    """The library's one forward reduction: the cover instance the solver
+    searches, plus the elimination map used to collapse b (min-gcd only;
+    None for max-lcm).
+
+    Min-gcd replaces each x in a by gcd({x} | b), keeps the smallest x per
+    image value as the section, and reduces the image alone.
+    """
+    if inst.mode == "max-lcm":
+        return _attainment_cover(inst.a, inst.b, "max"), None
+    if not inst.a:
+        raise DomainError("cannot eliminate b from an empty a")
+    g_b = math.gcd(*inst.b)
+    section: dict[int, int] = {}
+    for x in inst.a:
+        section.setdefault(math.gcd(x, g_b), x)
+    bem = BEliminationMap(reduced=tuple(sorted(section)), section=section)
+    return _attainment_cover(bem.reduced, (), "min"), bem
+
+
+def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     """Attainment cover of a, next to a required set b, over the coprime
     basis of a | b; ``stat`` ("min" or "max") picks the exponent to attain.
 
@@ -65,9 +93,8 @@ def attainment_reduction(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     The masks go to the search as they are, through
     ``CoverInstance.from_masks``.
 
-    a and b must be canonical sets, not both empty, as a
-    ``ProblemInstance`` holds them; they are used as they are, and the
-    only check left is the one ``compute_basis`` makes on a | b.
+    a and b must be canonical sets, not both empty; the only check left
+    is the one ``compute_basis`` makes on a | b.
     """
     cb = compute_basis(a + b)
     profile = exponent_profile(cb, stat)

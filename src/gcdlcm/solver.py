@@ -2,16 +2,10 @@
 with b preserves the gcd (or lcm) of everything.
 
 Pipeline: if b alone already attains the target, the answer is empty.
-Otherwise both modes go through the one attainment reduction of
-``reductions``. Max-lcm instances pass a and b to it as they are, so the
-columns whose maximum exponent b already attains leave the universe.
-Min-gcd instances first collapse b into a (one gcd per element) and
-reduce the collapsed set alone: on circulant link pruning, where b holds
-the node count, the basis of all of a | b would cost tens of times the
-whole solve. ``reduce_instance`` is the one forward reduction; it trusts
-the sets a ``ProblemInstance`` has already checked and made canonical.
-Cover solutions map back through owner maps (and the elimination
-section) to elements of a.
+Otherwise ``reductions.reduce_instance``, the one forward reduction,
+turns the instance into a cover (folding b into a for min-gcd), the
+cover search solves it, and its solution maps back through the owner
+maps (and the elimination section) to elements of a.
 
 A subset enumerator capped at small sizes serves as the independent
 oracle for the whole pipeline.
@@ -19,14 +13,13 @@ oracle for the whole pipeline.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from gcdlcm.errors import CapExceededError, DomainError
 from gcdlcm.numeric import NatSet, gcd_set, lcm_set, natset
-from gcdlcm.reductions import BEliminationMap, CoverReduction, attainment_reduction
+from gcdlcm.reductions import reduce_instance
 from gcdlcm.setcover import decide_cover, exact_cover, greedy_cover
 
 MODES = ("min-gcd", "max-lcm")
@@ -73,27 +66,6 @@ class SubsetSolution:
 
 def _mode_value(mode: str, values) -> int:
     return gcd_set(values) if mode == "min-gcd" else lcm_set(values)
-
-
-def reduce_instance(inst: ProblemInstance) -> tuple[CoverReduction, BEliminationMap | None]:
-    """The library's one forward reduction: the cover instance the solver
-    searches, plus the elimination map used to collapse b (min-gcd only;
-    None for max-lcm).
-
-    Min-gcd replaces each x in a by gcd({x} | b), keeps the smallest x per
-    image value as the section, and reduces the image alone. The
-    instance's sets are canonical already, so no stage checks them again.
-    """
-    if inst.mode == "max-lcm":
-        return attainment_reduction(inst.a, inst.b, "max"), None
-    if not inst.a:
-        raise DomainError("cannot eliminate b from an empty a")
-    g_b = math.gcd(*inst.b)
-    section: dict[int, int] = {}
-    for x in inst.a:
-        section.setdefault(math.gcd(x, g_b), x)
-    bem = BEliminationMap(reduced=tuple(sorted(section)), section=section)
-    return attainment_reduction(bem.reduced, (), "min"), bem
 
 
 def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:

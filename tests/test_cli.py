@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
 import sys
@@ -16,6 +18,8 @@ from gcdlcm import (
     ProblemInstance,
     cli,
     decide,
+    decide_cover,
+    exact_cover,
     prune_links,
     solve,
 )
@@ -346,3 +350,49 @@ def test_solve_with_an_owner_of_no_columns():
         '  "target": "24"\n'
         "}\n"
     )
+
+
+def _ag23_hitting_cover() -> CoverInstance:
+    """Hitting-set cover of the affine plane AG(2, 3): the universe is its
+    12 lines, sorted as sorted index triples, and each of the 9 points, in
+    ``itertools.product`` order, owns the 4 lines through it."""
+    points = list(itertools.product(range(3), repeat=2))
+    lines = sorted(
+        {
+            tuple(sorted(points.index(((x + t * dx) % 3, (y + t * dy) % 3)) for t in range(3)))
+            for x, y in points
+            for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))
+        }
+    )
+    assert len(lines) == 12
+    sets = [tuple([j for j, line in enumerate(lines) if i in line]) for i in range(9)]
+    return CoverInstance(12, tuple(sets))
+
+
+@pytest.mark.parametrize(
+    "mode, owners", [("max-lcm", (0, 1, 2, 3, 6)), ("min-gcd", (0, 4, 5, 7, 8))]
+)
+def test_ag23_cover_solves_through_its_integer_image(
+    mode, owners, monkeypatch, capsys, unlimited_int_digits
+):
+    """The smallest cover that is hard for the search: a set of points
+    meeting every line of AG(2, 3) leaves out a cap, and the largest cap
+    has 4 of the 9 points, so the optimum is 5. Embedded as integers by
+    the backward reduction and solved as a subset problem, it keeps that
+    size, and the owners of S form a cover."""
+    cover = _ag23_hitting_cover()
+    assert exact_cover(cover).chosen == (0, 1, 2, 3, 6)
+    assert decide_cover(cover, 5) and not decide_cover(cover, 4)
+
+    def run(argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    doc = json.dumps({"sets": [list(s) for s in cover.sets], "universe_size": 12})
+    image = run(["reduce", "--direction", "backward", "--mode", mode, "--input", "-"], doc)
+    sol = run(["solve", "--input", "-"], json.dumps(image))
+    assert sol["size"] == 5 and sol["optimal"] and sol["target"] == image["target"]
+    assert tuple(sorted(image["owner_sets"][x] for x in sol["S"])) == owners
+    covered = set().union(*(cover.sets[i] for i in owners))
+    assert covered == set(range(12))

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gcdlcm
+import gcdlcm.cli
 from gcdlcm import (
     CoverInstance,
     DomainError,
@@ -22,7 +24,7 @@ from gcdlcm import (
     gcd_set,
     reduce_instance,
 )
-from gcdlcm.reductions import attainment_reduction
+from gcdlcm.reductions import _attainment_cover
 from helpers import (
     dense_attainment_reduction,
     dense_exponent_profile,
@@ -171,9 +173,19 @@ def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
     cb = compute_basis(a + b)
     assert [list(row) for row in cb.exponents] == dense_exponents(cb.source, cb.basis)
     assert exponent_profile(cb, stat) == dense_exponent_profile(cb.source, cb.basis, stat)
-    red = attainment_reduction(tuple(a), tuple(b), stat)
+    red = _attainment_cover(tuple(a), tuple(b), stat)
     sparse = (red.cover.universe_size, red.cover.masks, red.universe_labels, red.set_owners)
     assert sparse == dense_attainment_reduction(a, b, stat)
+
+
+def test_forward_reduction_has_one_entry():
+    # the package root, solver and the CLI hold the function reductions
+    # defines; pipebench's probes and replay reach it through solver
+    red = gcdlcm.reductions.reduce_instance
+    assert gcdlcm.reduce_instance is red
+    assert gcdlcm.solver.reduce_instance is red
+    assert gcdlcm.cli.reduce_instance is red
+    assert not hasattr(gcdlcm.reductions, "attainment_reduction")
 
 
 def test_forward_reduction_rejects_empty():

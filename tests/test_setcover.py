@@ -203,7 +203,7 @@ def test_exact_cover_is_deterministic():
 
 
 @pytest.mark.parametrize("copies", [1, 2])
-def test_exact_cover_deep_forced_instance_on_pure_backend(copies):
+def test_exact_cover_deep_forced_instance(copies):
     # 1500 singletons, once or listed twice: kernelization takes every set
     # as forced (after dropping the later copies) without searching
     ci = CoverInstance(1500, tuple((i,) for i in range(1500)) * copies)
