@@ -39,7 +39,6 @@ import math
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
@@ -53,28 +52,11 @@ _PRIME_BELOW = 1009**2  # a cofactor free of the small primes and below this is 
 class CoprimeBasis:
     """Basis with its exponent matrix, rows following source order and
     columns basis order. ``nonzeros[i]`` holds the (column, exponent) pairs
-    of ``source[i]`` with a positive exponent, by ascending column; the
-    dense matrix ``exponents`` is a view, built only when read."""
+    of ``source[i]`` with a positive exponent, by ascending column."""
 
     source: NatSet
     basis: tuple[int, ...]
     nonzeros: tuple[tuple[tuple[int, int], ...], ...]
-
-    @cached_property
-    def exponents(self) -> tuple[tuple[int, ...], ...]:
-        """The dense matrix: one row per source element, one entry per basis element."""
-        rows = []
-        for pairs in self.nonzeros:
-            row = [0] * len(self.basis)
-            for c, e in pairs:
-                row[c] = e
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def reconstruct(self, a: int) -> int:
-        """Product of basis powers for a's row; equals a by the invariant."""
-        pairs = self.nonzeros[self.source.index(a)]
-        return math.prod(self.basis[c] ** e for c, e in pairs)
 
 
 def _refine(values: Iterable[int]) -> list[int]:

@@ -35,17 +35,19 @@ def is_connected_gcd(g: CirculantGraph) -> bool:
     return gcd_set(g.links + (g.node_count,)) == 1
 
 
-def is_connected_bfs(g: CirculantGraph, cap: int = BFS_NODE_CAP) -> bool:
+def is_connected_bfs(g: CirculantGraph) -> bool:
     """Oracle: breadth-first search from node 0 over the actual edges,
     stepping +-a mod m for each link a; connected when it reaches all m
     nodes.
 
-    Refuses graphs above the node cap. Links congruent to 0 mod m are
-    self-loops and contribute no edges.
+    Refuses graphs above ``BFS_NODE_CAP`` nodes. Links congruent to 0
+    mod m are self-loops and contribute no edges.
     """
     m = g.node_count
-    if m > cap:
-        raise CapExceededError(f"breadth-first search over {m} nodes exceeds the cap of {cap}")
+    if m > BFS_NODE_CAP:
+        raise CapExceededError(
+            f"breadth-first search over {m} nodes exceeds the cap of {BFS_NODE_CAP}"
+        )
     steps = sorted({a % m for a in g.links} - {0})
     seen = bytearray(m)
     seen[0] = 1

@@ -238,7 +238,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {where}: {exc}", file=sys.stderr)
         return 2
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from gcdlcm.basis import compute_basis, exponent_profile
 from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
-from gcdlcm.setcover import CoverInstance, require_feasible
+from gcdlcm.setcover import CoverInstance, require_feasible, set_bits
 
 if TYPE_CHECKING:
     from gcdlcm.solver import ProblemInstance
@@ -165,8 +165,8 @@ def cover_to_lcm(inst: CoverInstance) -> CoverImage:
         raise DomainError("a cover with no sets has no integer image")
     primes = first_primes(inst.universe_size)
     owners: dict[int, int] = {}
-    for i, s in enumerate(inst.sets):
-        owners.setdefault(math.prod(primes[j] for j in s), i)
+    for i, m in enumerate(inst.masks):
+        owners.setdefault(math.prod(primes[j] for j in set_bits(m)), i)
     return CoverImage(elements=natset(owners), owners=owners, target=math.prod(primes))
 
 

@@ -116,12 +116,13 @@ def decide(inst: ProblemInstance, k: int) -> bool:
     return k >= 1 and decide_cover(red.cover, k)
 
 
-def brute_force(inst: ProblemInstance, cap: int = BRUTE_FORCE_CAP) -> SubsetSolution:
+def brute_force(inst: ProblemInstance) -> SubsetSolution:
     """Independent oracle: enumerate subsets of a by (size, lexicographic)
-    order and return the first attaining the target. Refuses |a| > cap."""
-    if len(inst.a) > cap:
+    order and return the first attaining the target. Refuses |a| above
+    ``BRUTE_FORCE_CAP``."""
+    if len(inst.a) > BRUTE_FORCE_CAP:
         raise CapExceededError(
-            f"brute force over {len(inst.a)} elements exceeds the cap of {cap}"
+            f"brute force over {len(inst.a)} elements exceeds the cap of {BRUTE_FORCE_CAP}"
         )
     start = time.perf_counter()
     target = _mode_value(inst.mode, inst.a + inst.b)

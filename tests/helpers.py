@@ -6,6 +6,8 @@ component of a cover), math.gcd/math.lcm for set values, the all-pairs
 fixed point for coprime refinement, the bit size of an input, and the
 exponent profile and attainment cover walked over every cell of a dense
 exponent matrix. Anything the solvers claim is checked against these.
+A basis's rows of nonzeros are read here too (``densify``,
+``reconstruct``), so the library keeps no dense view of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -161,6 +163,23 @@ def dense_exponents(values, basis) -> list[list[int]]:
         assert x == 1, "not a product of basis powers"
         rows.append(row)
     return rows
+
+
+def densify(basis, nonzeros) -> list[list[int]]:
+    """The dense matrix that rows of (column, exponent) nonzeros stand
+    for: one row per source element, one cell per basis element."""
+    rows = []
+    for pairs in nonzeros:
+        row = [0] * len(basis)
+        for c, e in pairs:
+            row[c] = e
+        rows.append(row)
+    return rows
+
+
+def reconstruct(basis, pairs) -> int:
+    """The product of ``basis[c] ** e`` over one row's nonzeros."""
+    return prod(basis[c] ** e for c, e in pairs)
 
 
 def dense_exponent_profile(values, basis, stat: str) -> dict[int, int]:

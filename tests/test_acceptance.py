@@ -31,7 +31,7 @@ from gcdlcm import (
     prune_links,
     solve,
 )
-from helpers import exhaustive_min_cover, exhaustive_min_subset, run_cli
+from helpers import densify, exhaustive_min_cover, exhaustive_min_subset, reconstruct, run_cli
 
 CORPUS_SIZE = 2000
 
@@ -97,9 +97,10 @@ def test_criterion_3_basis_invariants():
         ok = ok and all(
             math.gcd(p, q) == 1 for p, q in combinations(cb.basis, 2)
         )
-        ok = ok and all(cb.reconstruct(a) == a for a in cb.source)
+        ok = ok and [reconstruct(cb.basis, pairs) for pairs in cb.nonzeros] == list(cb.source)
+        rows = densify(cb.basis, cb.nonzeros)
         ok = ok and all(
-            any(row[col] > 0 for row in cb.exponents)
+            any(row[col] > 0 for row in rows)
             for col in range(len(cb.basis))
         )
         d = exponent_profile(cb, "max")

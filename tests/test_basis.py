@@ -19,7 +19,7 @@ from gcdlcm import (
     generate_instance,
     lcm_set,
 )
-from helpers import dense_exponents, pairwise_refine
+from helpers import dense_exponents, densify, pairwise_refine, reconstruct
 
 
 def assert_valid_basis(cb):
@@ -28,11 +28,16 @@ def assert_valid_basis(cb):
     for p, q in combinations(cb.basis, 2):
         assert math.gcd(p, q) == 1, f"basis elements {p} and {q} share a factor"
     assert cb.basis == tuple(sorted(cb.basis))
-    for a in cb.source:
-        assert cb.reconstruct(a) == a
+    assert len(cb.nonzeros) == len(cb.source)
+    for a, pairs in zip(cb.source, cb.nonzeros):
+        # positive exponents by strictly ascending column
+        assert all(e > 0 for _, e in pairs)
+        assert [c for c, _ in pairs] == sorted({c for c, _ in pairs})
+        assert reconstruct(cb.basis, pairs) == a
     # usage: every basis element appears in some source element
+    rows = densify(cb.basis, cb.nonzeros)
     for col, p in enumerate(cb.basis):
-        assert any(row[col] > 0 for row in cb.exponents), f"unused basis element {p}"
+        assert any(row[col] > 0 for row in rows), f"unused basis element {p}"
 
 
 def assert_profile_identities(cb):
@@ -45,14 +50,14 @@ def assert_profile_identities(cb):
 def test_two_element_basis():
     cb = compute_basis([30, 42])
     assert cb.basis == (5, 6, 7)
-    assert cb.exponents == ((1, 1, 0), (0, 1, 1))
+    assert cb.nonzeros == (((0, 1), (1, 1)), ((1, 1), (2, 1)))
     assert_valid_basis(cb)
 
 
 def test_prime_powers_collapse():
     cb = compute_basis([8, 12])
     assert cb.basis == (2, 3)
-    assert cb.exponents == ((3, 0), (2, 1))
+    assert cb.nonzeros == (((0, 3),), ((0, 2), (1, 1)))
     assert_valid_basis(cb)
 
 
@@ -60,15 +65,16 @@ def test_ones_get_zero_rows():
     cb = compute_basis([1, 1, 1])
     assert cb.source == (1,)
     assert cb.basis == ()
-    assert cb.exponents == ((),)
+    assert cb.nonzeros == ((),)
     cb2 = compute_basis([1, 6])
-    assert cb2.exponents[0] == tuple(0 for _ in cb2.basis)
+    assert cb2.nonzeros == ((), ((0, 1),))
 
 
 def test_empty_input():
     cb = compute_basis([])
     assert cb.source == ()
     assert cb.basis == ()
+    assert cb.nonzeros == ()
     with pytest.raises(DomainError):
         exponent_profile(cb, "max")
 
@@ -192,7 +198,7 @@ def test_factors_sharing_a_direction_form_one_entry():
     assert compute_basis([6 * 10007]).basis == (60042,)
     cb = compute_basis([6 * 10007, 6 * 10007**2])
     assert cb.basis == (6, 10007)
-    assert cb.exponents == ((1, 1), (1, 2))
+    assert cb.nonzeros == (((0, 1), (1, 1)), ((0, 1), (1, 2)))
     assert compute_basis([900]).basis == (900,)
     assert compute_basis([1009**2]).basis == (1009**2,)
     assert compute_basis([1009**2, 7 * 1009]).basis == (7, 1009)
@@ -227,7 +233,7 @@ across_the_trial_bound = st.one_of(
 def test_basis_matches_oracles_across_the_trial_bound(values):
     cb = compute_basis(values)
     assert cb.basis == tuple(pairwise_refine({v for v in values if v > 1}))
-    assert [list(row) for row in cb.exponents] == dense_exponents(cb.source, cb.basis)
+    assert densify(cb.basis, cb.nonzeros) == dense_exponents(cb.source, cb.basis)
     assert_valid_basis(cb)
 
 

@@ -56,7 +56,7 @@ def test_links_beyond_m_wrap_around():
 
 def test_bfs_cap():
     with pytest.raises(CapExceededError):
-        is_connected_bfs(graph(10**7, [1]), cap=10**6)
+        is_connected_bfs(graph(10**7, [1]))
     assert is_connected_bfs(graph(10**5, [1]))
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from gcdlcm import (
     CirculantGraph,
-    CoprimeBasis,
     CoverInstance,
     ProblemInstance,
     cli,
@@ -293,13 +292,10 @@ def test_cli_output_needs_no_pure_python_encoder(monkeypatch, capsys, unlimited_
     assert [stdout_of(argv) for argv in calls] == plain
 
 
-def test_cli_and_library_build_no_dense_exponents_or_set_lists(
-    monkeypatch, capsys, unlimited_int_digits
-):
-    """The basis's exponents are read from its rows of nonzeros and a
-    cover's sets from its masks: ``solve``, forward ``reduce`` and
-    ``basis`` never build the dense ``CoprimeBasis.exponents`` or the
-    index lists of ``CoverInstance.sets``, in the CLI or the library."""
+def test_cli_and_library_build_no_set_lists(monkeypatch, capsys, tmp_path, unlimited_int_digits):
+    """A cover's sets are read from its masks: ``solve``, ``reduce`` in
+    both directions and ``basis`` never build the index lists of
+    ``CoverInstance.sets``, in the CLI or the library."""
     gcd_inst = generate_instance(1, 200, 10**4, b_count=2)
     lcm_inst = generate_instance(2, 60, 10**4, mode="max-lcm", b_count=2)
     calls = []
@@ -307,6 +303,13 @@ def test_cli_and_library_build_no_dense_exponents_or_set_lists(
         args = ["--mode", inst.mode, "-A", *map(str, inst.a), "-B", *map(str, inst.b)]
         calls += [["solve", *args], ["basis", *args], ["reduce", *args]]
     calls.append(["solve", "--mode", "max-lcm", "-A", "4", "6", "-B", "8"])
+    cover_file = tmp_path / "cover.json"
+    cover_file.write_text(
+        json.dumps({"sets": [list(s) for s in _ag23_hitting_cover().sets], "universe_size": 12})
+    )
+    for mode in ("min-gcd", "max-lcm"):
+        backward = ["reduce", "--direction", "backward", "--mode", mode]
+        calls.append([*backward, "--input", str(cover_file)])
     graphs = [CirculantGraph(node_count=60, links=(6, 10, 15, 24)), CirculantGraph(12, (3, 4, 6))]
 
     def outputs():
@@ -322,9 +325,8 @@ def test_cli_and_library_build_no_dense_exponents_or_set_lists(
     plain = outputs()
 
     def refuse(self):
-        raise AssertionError("a dense view was built")
+        raise AssertionError("the set lists were built")
 
-    monkeypatch.setattr(CoprimeBasis, "exponents", property(refuse))
     monkeypatch.setattr(CoverInstance, "sets", property(refuse))
     assert outputs() == plain
 

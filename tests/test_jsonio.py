@@ -29,6 +29,7 @@ from gcdlcm.jsonio import (
     reduction_to_payload,
     subset_solution_to_payload,
 )
+from helpers import dense_exponents
 
 
 def test_canonical_json_shape():
@@ -116,7 +117,8 @@ def test_big_integers_survive_the_string_encoding():
 
 def test_cover_instance_round_trip():
     ci = CoverInstance(universe_size=3, sets=((0, 1), (2,), ()))
-    assert cover_instance_from_payload(cover_instance_to_payload(ci)) == ci
+    text = canonical_json(cover_instance_to_payload(ci))
+    assert cover_instance_from_payload(json.loads(text)) == ci
     with pytest.raises(DomainError):
         cover_instance_from_payload({"universe_size": 2})
     with pytest.raises(DomainError):
@@ -189,6 +191,7 @@ def _nest(payload, depth):
 @settings(max_examples=200, deadline=None)
 @given(_sparse_rows(), _mask_rows(), st.integers(0, 3))
 @example((0, ((),)), (0, ()), 0)  # the basis of [1] and a cover with no sets
+@example((0, ()), (0, ()), 0)  # the basis of no elements, no rows at all
 @example((0, ((), ())), (0, (0,)), 1)  # rows of width 0, an empty set
 @example((3, ((), ((0, 10), (2, 12)))), (3, (0, 7, 6, 1)), 0)
 def test_rows_and_sets_write_what_json_dumps_writes_for_dense_lists(sparse, masks, depth):
@@ -216,22 +219,33 @@ def test_rows_and_sets_write_what_json_dumps_writes_for_dense_lists(sparse, mask
 
 
 
-def test_payload_row_lists_are_views_that_dump_with_default_list():
-    """The exponent matrix and the cover sets in a payload are read-only
-    views, not lists: their rows read as the dense tuples, ``canonical_json``
-    writes them, and ``json.dumps`` takes them with ``default=list``."""
+def test_payload_row_lists_are_write_only_views():
+    """The exponent matrix and the cover sets in a payload are views that
+    only ``canonical_json`` writes: they have no length, ``json.dumps`` and
+    the parsers refuse them, and the text reads back as the dense rows."""
     cb = compute_basis((12, 18, 35))
     red, bem = reduce_instance(ProblemInstance(a=(12, 18, 30, 45), b=(), mode="min-gcd"))
+    rows = dense_exponents(cb.source, cb.basis)
+    n = red.cover.universe_size
+    sets = [[j for j in range(n) if m >> j & 1] for m in red.cover.masks]
+    basis = basis_to_payload(cb)
+    cover = cover_instance_to_payload(red.cover)
     reduction = reduction_to_payload("min-gcd", red, bem)
     for payload, view, dense in [
-        (basis_to_payload(cb), lambda p: p["exponents"], cb.exponents),
-        (cover_instance_to_payload(red.cover), lambda p: p["sets"], red.cover.sets),
-        (reduction, lambda p: p["cover"]["sets"], red.cover.sets),
+        (basis, basis["exponents"], dict(basis, exponents=rows)),
+        (cover, cover["sets"], dict(cover, sets=sets)),
+        (
+            reduction,
+            reduction["cover"]["sets"],
+            dict(reduction, cover=dict(reduction["cover"], sets=sets)),
+        ),
     ]:
-        assert not isinstance(view(payload), list)
-        assert tuple(view(payload)) == dense
+        with pytest.raises(TypeError):
+            len(view)
         with pytest.raises(TypeError):
             json.dumps(payload)
         text = canonical_json(payload)
-        assert json.dumps(payload, indent=2, sort_keys=True, default=list) + "\n" == text
-        assert view(json.loads(text)) == [list(row) for row in dense]
+        assert text == json.dumps(dense, indent=2, sort_keys=True) + "\n"
+        assert json.loads(text) == dense
+    with pytest.raises(DomainError):
+        cover_instance_from_payload(cover)

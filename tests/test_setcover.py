@@ -3,6 +3,7 @@ lexicographically-smallest witness contract of the exact solver."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from gcdlcm import (
     reduce_instance,
 )
 from gcdlcm import setcover
-from gcdlcm.jsonio import cover_instance_from_payload, cover_instance_to_payload
+from gcdlcm.jsonio import canonical_json, cover_instance_from_payload, cover_instance_to_payload
 from helpers import componentwise_min_cover, exhaustive_min_cover
 
 
@@ -53,7 +54,8 @@ def test_masks_and_the_sets_view_agree(raw):
         assert m == sum(1 << e for e in set(s))
         assert view == tuple(e for e in range(n) if m >> e & 1)
     assert CoverInstance.from_masks(n, ci.masks) == ci
-    assert cover_instance_from_payload(cover_instance_to_payload(ci)) == ci
+    text = canonical_json(cover_instance_to_payload(ci))
+    assert cover_instance_from_payload(json.loads(text)) == ci
 
 
 def test_rejects_out_of_range_elements():

@@ -239,11 +239,12 @@ def test_decide_agrees_with_solve(seed, count, max_value, mode, b_count):
         assert not decide(inst, size - 1)
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
     big = mk(list(range(2, 2 + BRUTE_FORCE_CAP + 1)))
     with pytest.raises(CapExceededError):
         brute_force(big)
-    assert brute_force(big, cap=BRUTE_FORCE_CAP + 1).achieved == big_target(big)
+    monkeypatch.setattr(solver_module, "BRUTE_FORCE_CAP", BRUTE_FORCE_CAP + 1)
+    assert brute_force(big).achieved == big_target(big)
 
 
 def big_target(inst):
