@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, first_primes, natset
@@ -48,8 +48,7 @@ _SMALL_SQUARES = [(p, p * p) for p in _SMALL_PRIMES]
 _PRIME_BELOW = 1009**2  # a cofactor free of the small primes and below this is prime
 
 
-@dataclass(frozen=True)
-class CoprimeBasis:
+class CoprimeBasis(NamedTuple):
     """Basis with its exponent matrix, rows following source order and
     columns basis order. ``nonzeros[i]`` holds the (column, exponent) pairs
     of ``source[i]`` with a positive exponent, by ascending column."""

@@ -10,7 +10,7 @@ keeping the graph connected, a min-gcd subset problem with required set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
 from gcdlcm.numeric import NatSet, gcd_set, natset
@@ -19,15 +19,18 @@ from gcdlcm.solver import ProblemInstance, solve
 BFS_NODE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CirculantGraph:
+class _GraphFields(NamedTuple):
     node_count: int
     links: NatSet
 
-    def __post_init__(self):
-        if type(self.node_count) is not int or self.node_count < 1:  # refuses bool
-            raise DomainError(f"node count must be a positive int, got {self.node_count!r}")
-        object.__setattr__(self, "links", natset(self.links))
+
+class CirculantGraph(_GraphFields):
+    __slots__ = ()
+
+    def __new__(cls, node_count: int, links):
+        if type(node_count) is not int or node_count < 1:  # refuses bool
+            raise DomainError(f"node count must be a positive int, got {node_count!r}")
+        return _GraphFields.__new__(cls, node_count, natset(links))
 
 
 def is_connected_gcd(g: CirculantGraph) -> bool:

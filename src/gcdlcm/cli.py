@@ -17,9 +17,7 @@ from pathlib import Path
 
 from gcdlcm import jsonio
 from gcdlcm.basis import compute_basis
-from gcdlcm.circulant import CirculantGraph, prune_links
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
-from gcdlcm.generate import generate_instance
 from gcdlcm.reductions import cover_to_gcd, cover_to_lcm, reduce_instance
 from gcdlcm.solver import (
     BRUTE_FORCE_CAP,
@@ -54,7 +52,9 @@ def _instance_from_args(args) -> ProblemInstance:
     if args.a is None:
         raise DomainError("an instance needs --input FILE or inline -A values")
     return ProblemInstance(
-        a=tuple(args.a), b=tuple(args.b or ()), mode=args.mode or "min-gcd"
+        a=tuple(jsonio.parse_int_list(args.a, "A")),
+        b=tuple(jsonio.parse_int_list(args.b or [], "B")),
+        mode=args.mode or "min-gcd",
     )
 
 
@@ -86,6 +86,8 @@ def _cmd_basis(args):
 
 
 def _cmd_circulant(args):
+    from gcdlcm.circulant import CirculantGraph, prune_links
+
     g = CirculantGraph(node_count=args.nodes, links=tuple(args.links))
     try:
         pruned = prune_links(g, method=args.method)
@@ -108,6 +110,8 @@ def _cmd_circulant(args):
 
 
 def _cmd_gen(args):
+    from gcdlcm.generate import generate_instance
+
     inst = generate_instance(
         seed=args.seed,
         count=args.count,
@@ -134,12 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument(
         "--input", metavar="FILE", help="instance JSON file; '-' reads standard input"
     )
-    instance.add_argument(
-        "-A", dest="a", metavar="INT", nargs="+", type=int, help="elements of A inline"
-    )
-    instance.add_argument(
-        "-B", dest="b", metavar="INT", nargs="+", type=int, help="elements of B inline"
-    )
+    # -A/-B stay strings: _instance_from_args checks them as an instance file's
+    instance.add_argument("-A", dest="a", metavar="INT", nargs="+", help="elements of A inline")
+    instance.add_argument("-B", dest="b", metavar="INT", nargs="+", help="elements of B inline")
     instance.add_argument(
         "--mode",
         choices=MODES,

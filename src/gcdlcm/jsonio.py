@@ -139,18 +139,17 @@ class _CoverSets(_HeldRows):
 
 
 def parse_int(value: Any, field: str) -> int:
-    """A JSON number or decimal string; anything else is a parse error."""
+    """A JSON number or an ASCII decimal string; anything else is a parse error."""
     if isinstance(value, bool):
         raise DomainError(f"field {field!r}: expected an integer, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise DomainError(
-                f"field {field!r}: {value!r} is not a decimal integer"
-            ) from None
+        # only ASCII -?[0-9]+: int() would also take "1_2", " 18 ", "+30" and "٤٥"
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+        raise DomainError(f"field {field!r}: {value!r} is not a decimal integer")
     raise DomainError(
         f"field {field!r}: expected an integer, got {type(value).__name__}"
     )

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from gcdlcm.basis import compute_basis, exponent_profile
 from gcdlcm.errors import DomainError
@@ -39,8 +38,7 @@ if TYPE_CHECKING:
     from gcdlcm.solver import ProblemInstance
 
 
-@dataclass(frozen=True)
-class BEliminationMap:
+class BEliminationMap(NamedTuple):
     """Image of a under x -> gcd({x} | b), with a section back to representatives.
 
     section maps each reduced value to the smallest element of a producing
@@ -51,8 +49,7 @@ class BEliminationMap:
     section: dict[int, int]
 
 
-@dataclass(frozen=True)
-class CoverReduction:
+class CoverReduction(NamedTuple):
     """Cover instance plus the maps back to integers: universe index ->
     basis element, set index -> owning source element."""
 
@@ -139,8 +136,7 @@ def _attained(
     ]
 
 
-@dataclass(frozen=True)
-class CoverImage:
+class CoverImage(NamedTuple):
     """Integer set produced from a cover instance.
 
     owners maps each element back to the smallest set index producing it;

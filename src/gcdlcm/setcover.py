@@ -14,24 +14,26 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from gcdlcm.errors import DomainError, InfeasibleError
 
 
-@dataclass(frozen=True, init=False)
-class CoverInstance:
+class _CoverFields(NamedTuple):
+    universe_size: int
+    masks: tuple[int, ...]
+
+
+class CoverInstance(_CoverFields):
     """Universe size plus an ordered list of set bitmasks (bit e set when
     the set holds element e). ``CoverInstance(universe_size, sets)`` checks
     index lists from outside, in any order and with repeats, and builds the
     masks in that pass; ``sets`` views them as sorted index tuples."""
 
-    universe_size: int
-    masks: tuple[int, ...]
-
-    def __init__(self, universe_size: int, sets):
+    # no ``__slots__ = ()``: the cached ``sets`` view lives in the instance dict
+    def __new__(cls, universe_size: int, sets):
         n = universe_size
         if type(n) is not int or n < 0:  # bool, a subclass of int, is refused
             raise DomainError(f"universe size must be a nonnegative int, got {n!r}")
@@ -43,16 +45,16 @@ class CoverInstance:
                     raise DomainError(f"set element {e!r} is not an int in range({n})")
                 m |= 1 << e
             masks.append(m)
-        object.__setattr__(self, "universe_size", n)
-        object.__setattr__(self, "masks", tuple(masks))
+        return _CoverFields.__new__(cls, n, tuple(masks))
 
     @classmethod
     def from_masks(cls, universe_size: int, masks) -> CoverInstance:
         """The instance over ``masks``, unchecked: each lies below ``1 << universe_size``."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "universe_size", universe_size)
-        object.__setattr__(inst, "masks", tuple(masks))
-        return inst
+        return _CoverFields.__new__(cls, universe_size, tuple(masks))
+
+    def __reduce__(self):
+        # unpickle through the masks: ``__new__`` would read them as index lists
+        return type(self).from_masks, tuple(self)
 
     @cached_property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -71,8 +73,7 @@ def set_bits(mask: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-@dataclass(frozen=True)
-class CoverSolution:
+class CoverSolution(NamedTuple):
     chosen: tuple[int, ...]
     is_optimal: bool
 

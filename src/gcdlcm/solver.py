@@ -14,8 +14,8 @@ oracle for the whole pipeline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from gcdlcm.errors import CapExceededError, DomainError
 from gcdlcm.numeric import NatSet, gcd_set, lcm_set, natset
@@ -26,23 +26,25 @@ MODES = ("min-gcd", "max-lcm")
 BRUTE_FORCE_CAP = 20
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class _ProblemFields(NamedTuple):
     a: NatSet
     b: NatSet
     mode: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", natset(self.a))
-        object.__setattr__(self, "b", natset(self.b))
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.a and not self.b:
+
+class ProblemInstance(_ProblemFields):
+    __slots__ = ()
+
+    def __new__(cls, a, b, mode: str):
+        a, b = natset(a), natset(b)
+        if mode not in MODES:
+            raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+        if not a and not b:
             raise DomainError("a may be empty only if b is nonempty")
+        return _ProblemFields.__new__(cls, a, b, mode)
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     """Wall time plus the dimensions of the reduced cover instance."""
 
     elapsed_s: float
@@ -50,8 +52,7 @@ class SolveStats:
     num_sets: int
 
 
-@dataclass(frozen=True)
-class SubsetSolution:
+class SubsetSolution(NamedTuple):
     s: NatSet
     achieved: int
     target: int

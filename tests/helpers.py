@@ -26,9 +26,16 @@ def run_cli(
     *args: str, stdin: str | None = None, env: dict[str, str] | None = None
 ) -> subprocess.CompletedProcess:
     """``python -m gcdlcm`` with this checkout's ``src`` first on the path."""
+    return run_python("-m", "gcdlcm", *args, stdin=stdin, env=env)
+
+
+def run_python(
+    *args: str, stdin: str | None = None, env: dict[str, str] | None = None
+) -> subprocess.CompletedProcess:
+    """A fresh ``python ARGS`` with this checkout's ``src`` first on the path."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "gcdlcm", *args],
+        [sys.executable, *args],
         input=stdin,
         capture_output=True,
         text=True,

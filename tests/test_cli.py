@@ -232,6 +232,19 @@ def test_usage_errors_exit_2():
     assert run_cli("solve", "-A", "6", "--mode", "median").returncode == 2
 
 
+def test_non_canonical_decimals_in_a_file_exit_2():
+    # once answered S = ["12", "45"]: int() read "1_2" as 12 and "٤٥" as 45
+    r = run_cli("solve", "--input", "-", stdin=json.dumps({"A": ["1_2", " 18 ", "+30", "٤٥"]}))
+    assert r.returncode == 2 and "A[0]" in r.stderr and not r.stdout
+
+
+@pytest.mark.parametrize("argv, field", [(["-A", "6", "+30"], "A[1]"), (["-A", "6", "-B", " 4"], "B[0]")])
+def test_non_canonical_inline_decimals_exit_2(capsys, argv, field):
+    assert cli.main(["solve", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert not out and field in err
+
+
 def test_parse_errors_report_position_and_exit_2():
     r = run_cli("solve", "--input", "-", stdin="{broken")
     assert r.returncode == 2

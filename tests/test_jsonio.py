@@ -82,8 +82,10 @@ def test_parse_int_accepts_numbers_and_decimal_strings():
     assert parse_int(7, "x") == 7
     assert parse_int("7", "x") == 7
     assert parse_int(str(10**40), "x") == 10**40
-    for bad in (True, 1.5, "0x7", "", None, []):
-        with pytest.raises(DomainError):
+    assert parse_int("-7", "x") == -7  # the sign is left to the instance checks
+    # int() takes underscores, surrounding blanks, a plus sign and non-ASCII digits
+    for bad in (True, 1.5, "0x7", "", "-", None, [], "1_2", " 18 ", "18\n", "+30", "٤٥", "１"):
+        with pytest.raises(DomainError, match="'x'"):
             parse_int(bad, "x")
 
 
