@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "errors": ("CapExceededError", "DomainError", "InfeasibleError"),
     "generate": ("SplitMix64", "generate_instance"),
-    "numeric": ("NatSet", "gcd_set", "lcm_set", "natset"),
+    "numeric": ("NatSet", "ProblemInstance", "gcd_set", "lcm_set", "natset"),
     "reductions": (
         "BEliminationMap",
         "CoverImage",
@@ -37,7 +37,6 @@ _EXPORTS = {
     "setcover": ("CoverInstance", "CoverSolution", "decide_cover", "exact_cover", "greedy_cover"),
     "solver": (
         "BRUTE_FORCE_CAP",
-        "ProblemInstance",
         "SolveStats",
         "SubsetSolution",
         "brute_force",

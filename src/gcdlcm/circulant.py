@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
-from gcdlcm.numeric import NatSet, gcd_set, natset
-from gcdlcm.solver import ProblemInstance, solve
+from gcdlcm.numeric import NatSet, ProblemInstance, gcd_set, natset
+from gcdlcm.solver import solve
 
 BFS_NODE_CAP = 10**6
 

@@ -15,17 +15,10 @@ import json
 import sys
 from pathlib import Path
 
+# what every command uses; each _cmd_* imports the pipeline modules it runs
 from gcdlcm import jsonio
-from gcdlcm.basis import compute_basis
 from gcdlcm.errors import CapExceededError, DomainError, InfeasibleError
-from gcdlcm.reductions import cover_to_gcd, cover_to_lcm, reduce_instance
-from gcdlcm.solver import (
-    BRUTE_FORCE_CAP,
-    MODES,
-    ProblemInstance,
-    brute_force,
-    solve,
-)
+from gcdlcm.numeric import MODES, ProblemInstance
 
 
 def _read_json(path: str):
@@ -59,6 +52,8 @@ def _instance_from_args(args) -> ProblemInstance:
 
 
 def _cmd_solve(args):
+    from gcdlcm.solver import brute_force, solve
+
     inst = _instance_from_args(args)
     if args.method == "brute-force":
         sol = brute_force(inst)
@@ -68,19 +63,25 @@ def _cmd_solve(args):
 
 
 def _cmd_reduce(args):
+    from gcdlcm import reductions
+
     if args.direction == "forward":
         inst = _instance_from_args(args)
-        red, bem = reduce_instance(inst)
+        red, bem = reductions.reduce_instance(inst)
         return jsonio.reduction_to_payload(inst.mode, red, bem), 0
+    if args.a is not None or args.b is not None:
+        raise DomainError("backward reduction reads a cover from --input, not inline -A/-B values")
     if args.input is None:
         raise DomainError("backward reduction needs --input with a cover instance")
     cover = jsonio.cover_instance_from_payload(_read_json(args.input))
     mode = args.mode or "min-gcd"
-    img = cover_to_gcd(cover) if mode == "min-gcd" else cover_to_lcm(cover)
+    img = reductions.cover_to_gcd(cover) if mode == "min-gcd" else reductions.cover_to_lcm(cover)
     return jsonio.cover_image_to_payload(mode, img), 0
 
 
 def _cmd_basis(args):
+    from gcdlcm.basis import compute_basis
+
     inst = _instance_from_args(args)
     return jsonio.basis_to_payload(compute_basis(inst.a + inst.b)), 0
 
@@ -88,7 +89,8 @@ def _cmd_basis(args):
 def _cmd_circulant(args):
     from gcdlcm.circulant import CirculantGraph, prune_links
 
-    g = CirculantGraph(node_count=args.nodes, links=tuple(args.links))
+    nodes = jsonio.parse_int(args.nodes, "nodes")
+    g = CirculantGraph(node_count=nodes, links=tuple(jsonio.parse_int_list(args.links, "links")))
     try:
         pruned = prune_links(g, method=args.method)
     except InfeasibleError as exc:
@@ -113,11 +115,11 @@ def _cmd_gen(args):
     from gcdlcm.generate import generate_instance
 
     inst = generate_instance(
-        seed=args.seed,
-        count=args.count,
-        max_value=args.max_value,
+        seed=jsonio.parse_int(args.seed, "seed"),
+        count=jsonio.parse_int(args.count, "count"),
+        max_value=jsonio.parse_int(args.max_value, "max-value"),
         mode=args.mode,
-        b_count=args.b_count,
+        b_count=jsonio.parse_int(args.b_count, "b-count"),
     )
     return jsonio.instance_to_payload(inst), 0
 
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument(
         "--input", metavar="FILE", help="instance JSON file; '-' reads standard input"
     )
-    # -A/-B stay strings: _instance_from_args checks them as an instance file's
+    # integer options stay strings: jsonio.parse_int checks them as a file's
     instance.add_argument("-A", dest="a", metavar="INT", nargs="+", help="elements of A inline")
     instance.add_argument("-B", dest="b", metavar="INT", nargs="+", help="elements of B inline")
     instance.add_argument(
@@ -157,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("exact", "greedy", "brute-force"),
         default="exact",
-        help=f"brute-force enumerates subsets and refuses |A| > {BRUTE_FORCE_CAP}",
+        help="brute-force enumerates subsets and refuses a large A",
     )
     p.add_argument(
         "--timings",
@@ -191,21 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="connectivity and minimal link pruning of a circulant graph",
     )
-    p.add_argument("-m", "--nodes", dest="nodes", type=int, required=True, metavar="M")
-    p.add_argument(
-        "--links", metavar="INT", nargs="*", type=int, default=[], help="link lengths"
-    )
+    p.add_argument("-m", "--nodes", dest="nodes", required=True, metavar="M")
+    p.add_argument("--links", metavar="INT", nargs="*", default=[], help="link lengths")
     p.add_argument("--method", choices=("exact", "greedy"), default="exact")
     p.set_defaults(handler=_cmd_circulant)
 
     p = sub.add_parser(
         "gen", parents=[common], help="deterministic pseudo-random instance from a seed"
     )
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-value", type=int, default=10_000, metavar="N")
+    p.add_argument("--seed", required=True)
+    p.add_argument("--count", required=True)
+    p.add_argument("--max-value", default=10_000, metavar="N")
     p.add_argument("--mode", choices=MODES, default="min-gcd")
-    p.add_argument("--b-count", type=int, default=0, metavar="N")
+    p.add_argument("--b-count", default=0, metavar="N")
     p.set_defaults(handler=_cmd_gen)
 
     return parser

@@ -19,7 +19,7 @@ draws); each list is deduplicated afterwards.
 from __future__ import annotations
 
 from gcdlcm.errors import DomainError
-from gcdlcm.solver import ProblemInstance
+from gcdlcm.numeric import ProblemInstance
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

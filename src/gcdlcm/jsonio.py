@@ -23,13 +23,16 @@ from __future__ import annotations
 import json
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from gcdlcm.basis import CoprimeBasis
 from gcdlcm.errors import DomainError
-from gcdlcm.reductions import BEliminationMap, CoverImage, CoverReduction
+from gcdlcm.numeric import ProblemInstance
 from gcdlcm.setcover import CoverInstance, set_bits
-from gcdlcm.solver import ProblemInstance, SubsetSolution
+
+if TYPE_CHECKING:
+    from gcdlcm.basis import CoprimeBasis
+    from gcdlcm.reductions import BEliminationMap, CoverImage, CoverReduction
+    from gcdlcm.solver import SubsetSolution
 
 
 def canonical_json(payload: dict) -> str:

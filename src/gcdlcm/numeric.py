@@ -1,18 +1,21 @@
-"""Integer set arithmetic and prime generation.
+"""Integer set arithmetic, prime generation, and the problem instance.
 
 All values are plain Python ints (arbitrary precision). Sets of positive
 integers are kept in canonical form: duplicate-free, ascending tuples, so
-every set-valued result is byte-reproducible.
+every set-valued result is byte-reproducible. ``ProblemInstance`` is the
+checked record (a, b, mode) that every layer above takes.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from gcdlcm.errors import DomainError
 
 NatSet = tuple[int, ...]
+MODES = ("min-gcd", "max-lcm")
 
 
 def natset(values: Iterable[int]) -> NatSet:
@@ -26,6 +29,24 @@ def natset(values: Iterable[int]) -> NatSet:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise DomainError(f"set elements must be positive integers, got {v!r}")
     return tuple(sorted(set(values)))
+
+
+class _ProblemFields(NamedTuple):
+    a: NatSet
+    b: NatSet
+    mode: str
+
+
+class ProblemInstance(_ProblemFields):
+    __slots__ = ()
+
+    def __new__(cls, a, b, mode: str):
+        a, b = natset(a), natset(b)
+        if mode not in MODES:
+            raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+        if not a and not b:
+            raise DomainError("a may be empty only if b is nonempty")
+        return _ProblemFields.__new__(cls, a, b, mode)
 
 
 def gcd_set(values: Iterable[int]) -> int:

@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from gcdlcm.basis import compute_basis, exponent_profile
 from gcdlcm.errors import DomainError
-from gcdlcm.numeric import NatSet, first_primes, natset
+from gcdlcm.numeric import NatSet, ProblemInstance, first_primes, natset
 from gcdlcm.setcover import CoverInstance, require_feasible, set_bits
-
-if TYPE_CHECKING:
-    from gcdlcm.solver import ProblemInstance
 
 
 class BEliminationMap(NamedTuple):

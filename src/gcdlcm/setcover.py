@@ -219,13 +219,11 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
     p-th index is lexicographically smaller whatever follows: W[p] is the
     least such j. C[p] is one, so only j < C[p] are decided, and a yes
     replaces C[p:] by j and the cover found. A j adding nothing would
-    leave s - 1 sets, so it is skipped. Each decision asks whether the
-    later sets cover the rest and whether their largest could in time,
-    then runs ``_kernel_cover`` (``_kernelize`` keeps the optimum).
+    leave s - 1 sets, so it is skipped. The later sets always cover the
+    rest, since C[p:] lies among them; each decision asks whether their
+    largest could in time, then runs ``_kernel_cover`` (``_kernelize``
+    keeps the optimum).
     """
-    if not full:
-        return []
-    suffix_union = list(accumulate(reversed(masks), int.__or__, initial=0))[::-1]
     suffix_maxbits = list(accumulate(map(int.bit_count, reversed(masks)), max, initial=0))[::-1]
     cover = sorted(_min_cover(masks, full, len(masks)))  # cover[:p] is final
     covered = 0
@@ -234,7 +232,7 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
         for j in range(cover[p - 1] + 1 if p else 0, cover[p]):
             rest = full & ~(covered | masks[j])
             fits = rest.bit_count() <= left * suffix_maxbits[j + 1]
-            if fits and masks[j] & ~covered and not rest & ~suffix_union[j + 1]:
+            if fits and masks[j] & ~covered:
                 found = _kernel_cover(masks[j + 1 :], rest, left)
                 if found is not None:
                     cover[p:] = [j] + sorted(j + 1 + i for i in found)

@@ -18,30 +18,11 @@ from itertools import combinations
 from typing import NamedTuple
 
 from gcdlcm.errors import CapExceededError, DomainError
-from gcdlcm.numeric import NatSet, gcd_set, lcm_set, natset
+from gcdlcm.numeric import NatSet, ProblemInstance, gcd_set, lcm_set
 from gcdlcm.reductions import reduce_instance
 from gcdlcm.setcover import decide_cover, exact_cover, greedy_cover
 
-MODES = ("min-gcd", "max-lcm")
 BRUTE_FORCE_CAP = 20
-
-
-class _ProblemFields(NamedTuple):
-    a: NatSet
-    b: NatSet
-    mode: str
-
-
-class ProblemInstance(_ProblemFields):
-    __slots__ = ()
-
-    def __new__(cls, a, b, mode: str):
-        a, b = natset(a), natset(b)
-        if mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-        if not a and not b:
-            raise DomainError("a may be empty only if b is nonempty")
-        return _ProblemFields.__new__(cls, a, b, mode)
 
 
 class SolveStats(NamedTuple):

@@ -135,6 +135,17 @@ def test_reduce_backward_empty_family_exits_2(mode):
     assert r.stderr == "error: a cover with no sets has no integer image\n"
 
 
+@pytest.mark.parametrize("inline", [["-A", "5", "7", "-B", "3"], ["-B", "3"]])
+def test_reduce_backward_refuses_inline_values(tmp_path, capsys, inline):
+    # once ignored them and embedded the cover file
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"universe_size": 3, "sets": [[0, 1], [1, 2], [2]]}))
+    argv = ["reduce", "--direction", "backward", "--input", str(cover), *inline, "--mode", "max-lcm"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and "-A/-B" in err
+
+
 @pytest.fixture
 def unlimited_int_digits():
     """Lift Python's int/str conversion limit (3.10.7 and later) in this
@@ -238,9 +249,21 @@ def test_non_canonical_decimals_in_a_file_exit_2():
     assert r.returncode == 2 and "A[0]" in r.stderr and not r.stdout
 
 
-@pytest.mark.parametrize("argv, field", [(["-A", "6", "+30"], "A[1]"), (["-A", "6", "-B", " 4"], "B[0]")])
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["solve", "-A", "6", "+30"], "A[1]"),
+        (["solve", "-A", "6", "-B", " 4"], "B[0]"),
+        (["circulant", "-m", "٦", "--links", "1_0", "+3", " 4 "], "nodes"),
+        (["circulant", "-m", "6", "--links", "10", "+3", " 4 "], "links[1]"),
+        (["gen", "--seed", "+7", "--count", "٣", "--max-value", "1_000", "--b-count", " 1 "], "seed"),
+        (["gen", "--seed", "7", "--count", "٣"], "count"),
+        (["gen", "--seed", "7", "--count", "3", "--max-value", "1_000"], "max-value"),
+        (["gen", "--seed", "7", "--count", "3", "--b-count", " 1 "], "b-count"),
+    ],
+)
 def test_non_canonical_inline_decimals_exit_2(capsys, argv, field):
-    assert cli.main(["solve", *argv]) == 2
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert not out and field in err
 

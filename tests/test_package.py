@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import sys
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,9 @@ import gcdlcm
 from helpers import run_python
 
 SOURCES = sorted(Path(gcdlcm.__file__).parent.glob("*.py"))
+SUBMODULES = {path.stem for path in SOURCES} - {"__init__", "__main__"}
 # what a solve, basis or reduce call has no use for
-NOT_FOR_THE_CLI = ("dataclasses", "gcdlcm.circulant", "gcdlcm.generate")
+NOT_FOR_THE_CLI = {"dataclasses", "gcdlcm.circulant", "gcdlcm.generate"}
 
 
 def _imported(node: ast.AST) -> list[str]:
@@ -24,6 +26,12 @@ def _imported(node: ast.AST) -> list[str]:
     if isinstance(node, ast.ImportFrom) and not node.level:
         return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
     return []
+
+
+def _submodules_imported(nodes) -> set[str]:
+    """The gcdlcm submodules that these import statements name."""
+    names = (name.split(".") for node in nodes for name in _imported(node))
+    return {n[1] for n in names if n[0] == "gcdlcm" and len(n) > 1 and n[1] in SUBMODULES}
 
 
 def test_package_imports_only_itself_and_the_standard_library():
@@ -46,9 +54,20 @@ def test_no_dataclasses_and_no_module_level_import_the_cli_never_runs():
         for node in ast.walk(tree):
             assert not any(n.split(".")[0] == "dataclasses" for n in _imported(node)), path.name
         if path.name == "cli.py":
-            loaded = {name for node in tree.body for name in _imported(node)}
-            assert "gcdlcm.jsonio" in loaded  # the module-level imports were read
-            assert not loaded & {"gcdlcm.circulant", "gcdlcm.generate"}
+            # each command imports the pipeline modules it runs
+            assert _submodules_imported(tree.body) == {"jsonio", "errors", "numeric"}
+
+
+def test_the_import_graph_is_acyclic():
+    # every import statement counts, in function bodies and TYPE_CHECKING
+    # blocks too: a layer that names one above it, even for an annotation,
+    # is a cycle waiting for its first run-time use
+    graph = {
+        path.stem: _submodules_imported(ast.walk(ast.parse(path.read_text(), str(path))))
+        for path in SOURCES
+    }
+    assert "numeric" in graph["reductions"]  # the imports were read
+    tuple(TopologicalSorter(graph).static_order())  # raises CycleError naming the cycle
 
 
 # The child snapshots sys.modules, runs ``python -m gcdlcm ARGS`` as runpy
@@ -64,15 +83,28 @@ print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
 """
 
 
+INSTANCE = ("-A", "6", "10", "15", "-B", "4")
+
+
 @pytest.mark.parametrize(
-    "command", [("solve",), ("basis",), ("reduce", "--direction", "forward")], ids=lambda c: c[0]
+    "argv, forbidden",
+    [
+        (("solve", *INSTANCE), NOT_FOR_THE_CLI),
+        (("basis", *INSTANCE), NOT_FOR_THE_CLI | {"gcdlcm.solver", "gcdlcm.reductions"}),
+        (("reduce", "--direction", "forward", *INSTANCE), NOT_FOR_THE_CLI | {"gcdlcm.solver"}),
+        (
+            ("gen", "--seed", "7", "--count", "5"),
+            {"dataclasses", "gcdlcm.circulant", "gcdlcm.solver", "gcdlcm.reductions", "gcdlcm.basis"},
+        ),
+    ],
+    ids=["solve", "basis", "reduce", "gen"],
 )
-def test_cli_loads_only_what_its_command_runs(command):
-    r = run_python("-c", _CLI_CHILD, *command, "-A", "6", "10", "15", "-B", "4")
+def test_cli_loads_only_what_its_command_runs(argv, forbidden):
+    r = run_python("-c", _CLI_CHILD, *argv)
     assert r.returncode == 0, r.stderr
     loaded = json.loads(r.stderr.splitlines()[-1])
     assert "gcdlcm.cli" in loaded and json.loads(r.stdout)
-    assert not set(loaded) & set(NOT_FOR_THE_CLI)
+    assert not set(loaded) & forbidden
 
 
 def test_every_public_name_resolves_through_the_lazy_root():

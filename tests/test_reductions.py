@@ -179,13 +179,22 @@ def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
     assert sparse == dense_attainment_reduction(a, b, stat)
 
 
-def test_forward_reduction_has_one_entry():
-    # the package root, solver and the CLI hold the function reductions
-    # defines; pipebench's probes and replay reach it through solver
+def test_forward_reduction_has_one_entry(monkeypatch, capsys):
+    # the package root and solver hold the function reductions defines;
+    # pipebench's probes and replay reach it through solver, and the CLI
+    # looks it up in reductions at call time, where the probes rebind it
     red = gcdlcm.reductions.reduce_instance
     assert gcdlcm.reduce_instance is red
     assert gcdlcm.solver.reduce_instance is red
-    assert gcdlcm.cli.reduce_instance is red
+    calls = []
+
+    def recorder(inst):
+        calls.append(inst)
+        return red(inst)
+
+    monkeypatch.setattr(gcdlcm.reductions, "reduce_instance", recorder)
+    assert gcdlcm.cli.main(["reduce", "-A", "6", "10", "15"]) == 0
+    assert calls == [ProblemInstance(a=(6, 10, 15), b=(), mode="min-gcd")] and capsys.readouterr().out
     assert not hasattr(gcdlcm.reductions, "attainment_reduction")
 
 
