@@ -26,12 +26,12 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any
 
 from gcdlcm.errors import DomainError
-from gcdlcm.numeric import ProblemInstance
-from gcdlcm.setcover import CoverInstance, set_bits
+from gcdlcm.numeric import ProblemInstance, set_bits
 
 if TYPE_CHECKING:
     from gcdlcm.basis import CoprimeBasis
     from gcdlcm.reductions import BEliminationMap, CoverImage, CoverReduction
+    from gcdlcm.setcover import CoverInstance
     from gcdlcm.solver import SubsetSolution
 
 
@@ -209,6 +209,8 @@ def cover_instance_to_payload(inst: CoverInstance) -> dict:
 
 
 def cover_instance_from_payload(payload: Any) -> CoverInstance:
+    from gcdlcm.setcover import CoverInstance
+
     _require(payload, "sets", "universe_size")
     raw = payload["sets"]
     if not isinstance(raw, list):

@@ -1,4 +1,4 @@
-"""Integer set arithmetic, prime generation, and the problem instance.
+"""Integer sets and bitmasks, prime generation, and the problem instance.
 
 All values are plain Python ints (arbitrary precision). Sets of positive
 integers are kept in canonical form: duplicate-free, ascending tuples, so
@@ -29,6 +29,18 @@ def natset(values: Iterable[int]) -> NatSet:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise DomainError(f"set elements must be positive integers, got {v!r}")
     return tuple(sorted(set(values)))
+
+
+def set_bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending, one ``find`` per bit: the masks
+    read are mostly a few elements of a wide universe."""
+    digits = bin(mask)[:1:-1]
+    bits = []
+    j = digits.find("1")
+    while j >= 0:
+        bits.append(j)
+        j = digits.find("1", j + 1)
+    return tuple(bits)
 
 
 class _ProblemFields(NamedTuple):

@@ -19,8 +19,8 @@ Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
 of its primes (lcm variant). The gcd variant is the complement of that
 image: each element x becomes the total product divided by x. A family
-with no sets has no image and is refused. Every transform carries owner
-maps so solutions can be pulled back.
+with no sets has no image, nor has an empty universe a gcd one: both are
+refused. Every transform carries owner maps so solutions can be pulled back.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 from gcdlcm.basis import compute_basis, exponent_profile
 from gcdlcm.errors import DomainError
-from gcdlcm.numeric import NatSet, ProblemInstance, first_primes, natset
-from gcdlcm.setcover import CoverInstance, require_feasible, set_bits
+from gcdlcm.numeric import NatSet, ProblemInstance, first_primes, natset, set_bits
+from gcdlcm.setcover import CoverInstance, require_feasible
 
 
 class BEliminationMap(NamedTuple):
@@ -170,8 +170,11 @@ def cover_to_gcd(inst: CoverInstance) -> CoverImage:
     The map is injective, so every element keeps its owner and the owners
     their order. A prime divides the gcd of the complements exactly when
     its universe element lies in no set, so the sets cover exactly when that
-    gcd is 1, the target the subset problem must preserve.
+    gcd is 1, the target the subset problem must preserve. An empty universe
+    is refused: it needs no set, and a min-gcd subset is never empty.
     """
     img = cover_to_lcm(inst)
+    if not inst.universe_size:
+        raise DomainError("an empty universe has no min-gcd image: the gcd of no element is 0")
     owners = {img.target // x: i for x, i in img.owners.items()}
     return CoverImage(elements=natset(owners), owners=owners, target=1)

@@ -19,6 +19,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from gcdlcm.errors import DomainError, InfeasibleError
+from gcdlcm.numeric import set_bits
 
 
 class _CoverFields(NamedTuple):
@@ -59,18 +60,6 @@ class CoverInstance(_CoverFields):
     @cached_property
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(set_bits, self.masks))
-
-
-def set_bits(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending, one ``find`` per bit: the masks
-    read are mostly a few elements of a wide universe."""
-    digits = bin(mask)[:1:-1]
-    bits = []
-    j = digits.find("1")
-    while j >= 0:
-        bits.append(j)
-        j = digits.find("1", j + 1)
-    return tuple(bits)
 
 
 class CoverSolution(NamedTuple):

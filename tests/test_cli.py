@@ -135,6 +135,14 @@ def test_reduce_backward_empty_family_exits_2(mode):
     assert r.stderr == "error: a cover with no sets has no integer image\n"
 
 
+def test_reduce_backward_min_gcd_refuses_an_empty_universe():
+    doc = json.dumps({"universe_size": 0, "sets": [[]]})
+    r = run_cli("reduce", "--direction", "backward", "--input", "-", stdin=doc)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: an empty universe has no min-gcd image: the gcd of no element is 0\n"
+
+
 @pytest.mark.parametrize("inline", [["-A", "5", "7", "-B", "3"], ["-B", "3"]])
 def test_reduce_backward_refuses_inline_values(tmp_path, capsys, inline):
     # once ignored them and embedded the cover file

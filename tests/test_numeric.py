@@ -3,11 +3,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gcdlcm import CirculantGraph, DomainError, ProblemInstance, gcd_set, lcm_set, natset
-from gcdlcm.numeric import _sieve, first_primes
+from gcdlcm import setcover
+from gcdlcm.numeric import _sieve, first_primes, set_bits
 from helpers import input_size
 
 
@@ -50,6 +51,20 @@ def test_lcm_set_conventions():
     assert lcm_set((7,)) == 7
     with pytest.raises(DomainError):
         lcm_set((0, 3))
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=1100).map(lambda j: 1 << j),
+        st.integers(min_value=0, max_value=1 << 1100),
+    )
+)
+@example(0)
+@example(1 << 64 | 1 << 63)
+@example((1 << 1001) - 1)
+def test_set_bits_lists_every_set_bit_ascending(mask):
+    assert set_bits(mask) == tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+    assert setcover.set_bits is set_bits
 
 
 def test_first_primes_small():

@@ -15,8 +15,9 @@ from helpers import run_python
 
 SOURCES = sorted(Path(gcdlcm.__file__).parent.glob("*.py"))
 SUBMODULES = {path.stem for path in SOURCES} - {"__init__", "__main__"}
-# what a solve, basis or reduce call has no use for
-NOT_FOR_THE_CLI = {"dataclasses", "gcdlcm.circulant", "gcdlcm.generate"}
+# what the two modules every command loads import at module level; the
+# commands and the cover parser import the rest where they run it
+EVERY_CALL_IMPORTS = {"cli.py": {"jsonio", "errors", "numeric"}, "jsonio.py": {"errors", "numeric"}}
 
 
 def _imported(node: ast.AST) -> list[str]:
@@ -53,9 +54,9 @@ def test_no_dataclasses_and_no_module_level_import_the_cli_never_runs():
         tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
             assert not any(n.split(".")[0] == "dataclasses" for n in _imported(node)), path.name
-        if path.name == "cli.py":
-            # each command imports the pipeline modules it runs
-            assert _submodules_imported(tree.body) == {"jsonio", "errors", "numeric"}
+        if path.name in EVERY_CALL_IMPORTS:
+            # TYPE_CHECKING blocks and function bodies are not module level
+            assert _submodules_imported(tree.body) == EVERY_CALL_IMPORTS[path.name], path.name
 
 
 def test_the_import_graph_is_acyclic():
@@ -84,27 +85,37 @@ print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
 
 
 INSTANCE = ("-A", "6", "10", "15", "-B", "4")
+COVER = '{"universe_size": 3, "sets": [[0, 1], [1, 2], [2]]}'
+EVERY_CALL = {"gcdlcm", "gcdlcm.cli", "gcdlcm.jsonio", "gcdlcm.errors", "gcdlcm.numeric"}
+TO_A_COVER = {"gcdlcm.basis", "gcdlcm.reductions", "gcdlcm.setcover"}
 
 
 @pytest.mark.parametrize(
-    "argv, forbidden",
+    "argv, stdin, modules",
     [
-        (("solve", *INSTANCE), NOT_FOR_THE_CLI),
-        (("basis", *INSTANCE), NOT_FOR_THE_CLI | {"gcdlcm.solver", "gcdlcm.reductions"}),
-        (("reduce", "--direction", "forward", *INSTANCE), NOT_FOR_THE_CLI | {"gcdlcm.solver"}),
+        (("solve", *INSTANCE), None, TO_A_COVER | {"gcdlcm.solver"}),
+        (("basis", *INSTANCE), None, {"gcdlcm.basis"}),
+        (("reduce", "--direction", "forward", *INSTANCE), None, TO_A_COVER),
+        # reductions imports basis at module level, which the backward maps never run
+        (("reduce", "--direction", "backward", "--input", "-"), COVER, TO_A_COVER),
+        (("gen", "--seed", "7", "--count", "5"), None, {"gcdlcm.generate"}),
         (
-            ("gen", "--seed", "7", "--count", "5"),
-            {"dataclasses", "gcdlcm.circulant", "gcdlcm.solver", "gcdlcm.reductions", "gcdlcm.basis"},
+            ("circulant", "-m", "12", "--links", "2", "3", "4", "6"),
+            None,
+            TO_A_COVER | {"gcdlcm.solver", "gcdlcm.circulant"},
         ),
     ],
-    ids=["solve", "basis", "reduce", "gen"],
+    ids=["solve", "basis", "reduce", "reduce-backward", "gen", "circulant"],
 )
-def test_cli_loads_only_what_its_command_runs(argv, forbidden):
-    r = run_python("-c", _CLI_CHILD, *argv)
+def test_cli_loads_only_what_its_command_runs(argv, stdin, modules):
+    r = run_python("-c", _CLI_CHILD, *argv, stdin=stdin)
     assert r.returncode == 0, r.stderr
-    loaded = json.loads(r.stderr.splitlines()[-1])
-    assert "gcdlcm.cli" in loaded and json.loads(r.stdout)
-    assert not set(loaded) & forbidden
+    loaded = set(json.loads(r.stderr.splitlines()[-1]))
+    assert json.loads(r.stdout)
+    assert {m for m in loaded if m.split(".")[0] == "gcdlcm"} == EVERY_CALL | modules
+    assert "dataclasses" not in loaded
+    if "gcdlcm.setcover" not in modules:
+        assert "heapq" not in loaded  # only the cover search imports it
 
 
 def test_every_public_name_resolves_through_the_lazy_root():

@@ -111,7 +111,7 @@ DIGESTS = {
     "reduce-forward": "401616d883a86ab8c41bc00605cb18d92fd999c8516becc2148ed8986cab81b1",
     "basis": "1a9a40c7d238ab662e065adca2b61a408c4ea40e9411fd935c6d5e0de1d72934",
     "circulant": "a03f28e986068eec3c84dc60bf9d53d40dce46839a99f4b4af817fde9294a9a2",
-    "reduce-backward": "9ec607b4c30fb83b5bcd4d1d048808854f00a2bef4ace760eecb6dba050cc914",
+    "reduce-backward": "94dc90c99440abf1973a522142c9bfcacb6e0160e7d02e9e659340cb3f493ac2",
     "sparse-shapes": "f3f605a7c9ee0a2594e5ec7d799f70ba53a15d76c5d0ff5394aaacb287d64ac8",
 }
 

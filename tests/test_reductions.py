@@ -281,6 +281,17 @@ def test_backward_refuses_a_family_with_no_sets(embed):
         embed(CoverInstance(universe_size=3, sets=()))
 
 
+def test_cover_to_gcd_refuses_an_empty_universe():
+    # the cover needs no set, but a min-gcd subset is never empty: the image
+    # {1} would have optimum 1, where the max-lcm image {1} keeps optimum 0
+    for sets in (((),), ((), ())):
+        ci = CoverInstance(universe_size=0, sets=sets)
+        with pytest.raises(DomainError, match="empty universe"):
+            cover_to_gcd(ci)
+        assert exact_cover(ci).size == 0
+        assert cover_to_lcm(ci) == ((1,), {1: 0}, 1)
+
+
 @st.composite
 def covering_instances(draw):
     n = draw(st.integers(min_value=1, max_value=6))
