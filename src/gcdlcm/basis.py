@@ -1,4 +1,4 @@
-"""Coprime basis of an integer set, its exponent matrix held by sparse rows.
+"""Coprime basis of an integer set, its exponent matrix held sparse, by columns or rows.
 
 A coprime basis of a set A is a list of pairwise coprime integers >= 2
 such that every element of A is exactly a product of powers of basis
@@ -28,9 +28,11 @@ coprime base refines N, so each n in N is the product of c**k_c over a
 set of entries c, disjoint for distinct n, with e_c = k_c * e_n. Every
 entry lies in one of these sets, since it divides some element. Distinct
 directions leave one c per n, and a primitive e_c forces k_c = 1, so
-c = n. The rows come straight from the directions, and a row keeps only
-its nonzero exponents: on distinct integers it has a few, against
-hundreds or thousands of basis elements.
+c = n. Each direction is the column of its entry: the rows holding it
+and their exponents, which the attainment cover reads as they are. The
+rows of a ``CoprimeBasis`` are the transpose, and a row keeps only its
+nonzero exponents: on distinct integers it has a few, against hundreds
+or thousands of basis elements.
 """
 
 from __future__ import annotations
@@ -146,15 +148,33 @@ def _refine(values: Iterable[int]) -> list[int]:
 def compute_basis(a: Iterable[int]) -> CoprimeBasis:
     """Coprime basis of a set of positive integers, factor first.
 
-    Elements equal to 1 get an empty row. The factors come from trial
-    division by the primes below 1000 and from ``_refine`` on the rough
-    cofactors alone; the factors of one primitive exponent direction make
-    one entry (see the module docstring), and the rows are read off the
-    directions with no second pass of division.
+    Elements equal to 1 get an empty row. The rows are the transpose of
+    the columns ``_columns`` reads off the exponent directions, with no
+    second pass of division.
     """
     source = natset(a)
-    # factor -> its (row, exponent) pairs
-    vectors: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    basis, columns = _columns(source)
+    rows: list[list[tuple[int, int]]] = [[] for _ in source]
+    for col, (holders, exps) in enumerate(columns):
+        for row, e in zip(holders, exps):
+            rows[row].append((col, e))
+    return CoprimeBasis(source, basis, tuple([tuple(pairs) for pairs in rows]))
+
+
+Column = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _columns(source: NatSet) -> tuple[tuple[int, ...], list[Column]]:
+    """The ascending basis of a canonical set and, per basis element, its
+    column: the rows holding it, ascending, and their exponents.
+
+    The factors come from trial division by the primes below 1000 and from
+    ``_refine`` on the rough cofactors alone; the factors of one primitive
+    exponent direction make one entry (see the module docstring).
+    """
+    # factor -> its holder rows, ascending, and their exponents
+    holders: defaultdict[int, list[int]] = defaultdict(list)
+    powers: defaultdict[int, list[int]] = defaultdict(list)
     rough: list[tuple[int, int]] = []  # (row, cofactor)
     for row, v in enumerate(source):
         for p, square in _SMALL_SQUARES:
@@ -166,20 +186,23 @@ def compute_basis(a: Iterable[int]) -> CoprimeBasis:
                 while not v % p:
                     v //= p
                     e += 1
-                vectors[p].append((row, e))
+                holders[p].append(row)
+                powers[p].append(e)
         if v >= _PRIME_BELOW:
             rough.append((row, v))
         elif v > 1:
-            vectors[v].append((row, 1))
+            holders[v].append(row)
+            powers[v].append(1)
     if rough:
         cofactors = [v for _, v in rough]
         product = math.prod(cofactors)
-        shared = [q for q in vectors if q > _SMALL_PRIMES[-1] and not product % q]
+        shared = [q for q in holders if q > _SMALL_PRIMES[-1] and not product % q]
         base = _refine(cofactors + shared)
         unsplit = set(base)  # most rough cofactors come out of _refine whole
         for row, v in rough:
             if v in unsplit:
-                vectors[v].append((row, 1))
+                holders[v].append(row)
+                powers[v].append(1)
                 continue
             for p in base:
                 if not v % p:
@@ -188,32 +211,26 @@ def compute_basis(a: Iterable[int]) -> CoprimeBasis:
                     while not v % p:
                         v //= p
                         e += 1
-                    vectors[p].append((row, e))
+                    holders[p].append(row)
+                    powers[p].append(e)
                     if v == 1:
                         break
             if v != 1:
                 raise RuntimeError("internal: an element is not a product of basis powers")
-    # primitive direction -> entry. Directions are frozensets and the gcd
-    # reads a set of exponents, so no tuple as long as a vector is built:
-    # CPython 3.11 keeps freed 20-item tuples on a free list it never reuses.
-    entries: dict[frozenset[tuple[int, int]], int] = {}
-    for q, vector in vectors.items():
-        g = math.gcd(*{e for _, e in vector})
+        for q in shared:  # holders from both passes: back in row order
+            holders[q], powers[q] = map(list, zip(*sorted(zip(holders[q], powers[q]))))
+    # primitive direction -> entry
+    entries: dict[Column, int] = {}
+    for q, rows in holders.items():
+        exps = powers[q]
+        g = math.gcd(*exps)
         if g > 1:
-            vector = [(row, e // g) for row, e in vector]
+            exps = [e // g for e in exps]
             q **= g
-        direction = frozenset(vector)
+        direction = (tuple(rows), tuple(exps))
         entries[direction] = entries.get(direction, 1) * q
     columns = sorted(entries, key=entries.__getitem__)
-    rows: list[list[tuple[int, int]]] = [[] for _ in source]
-    for col, direction in enumerate(columns):
-        for row, e in direction:
-            rows[row].append((col, e))
-    return CoprimeBasis(
-        source=source,
-        basis=tuple([entries[direction] for direction in columns]),
-        nonzeros=tuple([tuple(pairs) for pairs in rows]),
-    )
+    return tuple([entries[direction] for direction in columns]), columns
 
 
 def exponent_profile(cb: CoprimeBasis, stat: str) -> dict[int, int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from operator import lt
 from typing import NamedTuple
 
 from gcdlcm.errors import DomainError
@@ -22,12 +23,18 @@ def natset(values: Iterable[int]) -> NatSet:
     """Canonicalize an iterable of positive integers: dedup, sort ascending.
 
     Every value is checked before the dedup, so an equal value of another
-    type (True for 1, 2.0 for 2) is refused wherever it stands.
+    type (True for 1, 2.0 for 2) is refused wherever it stands. A strictly
+    ascending tuple of plain ints comes back as it is; only input that
+    fails the builtin passes is walked value by value, to name the first
+    bad one.
     """
-    values = list(values)
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DomainError(f"set elements must be positive integers, got {v!r}")
+    values = tuple(values)
+    if not (set(map(type, values)) <= {int} and min(values, default=1) >= 1):
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise DomainError(f"set elements must be positive integers, got {v!r}")
+    if all(map(lt, values, values[1:])):
+        return values
     return tuple(sorted(set(values)))
 
 

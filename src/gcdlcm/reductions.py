@@ -12,8 +12,8 @@ optimal sizes transfer both ways. Max-lcm covers a next to b as they
 are. Min-gcd first folds b into a, each x becoming gcd({x} | b), and
 covers that image with no b: on circulant link pruning, where b holds
 the node count, the basis of all of a | b would cost tens of times the
-whole solve. The instance's sets are canonical, and nothing here checks
-them again.
+whole solve. The instance's sets are canonical; the one check left is
+the merge of a | b, which returns canonical input as it is.
 
 Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
@@ -26,10 +26,9 @@ refused. Every transform carries owner maps so solutions can be pulled back.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import NamedTuple
 
-from gcdlcm.basis import compute_basis, exponent_profile
+from gcdlcm.basis import _columns
 from gcdlcm.errors import DomainError
 from gcdlcm.numeric import NatSet, ProblemInstance, first_primes, natset, set_bits
 from gcdlcm.setcover import CoverInstance, require_feasible
@@ -79,58 +78,50 @@ def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     """Attainment cover of a, next to a required set b, over the coprime
     basis of a | b; ``stat`` ("min" or "max") picks the exponent to attain.
 
-    Columns on which some element of b attains the ``stat`` exponent need
-    no covering and are dropped from the universe. Each element of a owns
-    the remaining columns it attains, as a bitmask built from the nonzeros
-    of its row alone (``_attained``); equal masks collapse to the smallest
-    owner, so reduction-produced instances have pairwise-distinct sets.
-    The masks go to the search as they are, through
-    ``CoverInstance.from_masks``.
+    It is read off the basis columns. A column's extreme is the max of its
+    exponents, or for "min" their min if every row holds it and 0 otherwise.
+    The holders at the extreme attain it, or at 0 the rows holding nothing.
+    A column some element of b attains leaves the universe; any other puts
+    its bit in the mask of each row attaining it, a 0-extreme bit starting
+    set in every mask and leaving each holder's. Equal masks collapse to
+    the smallest owner, so reduction-produced instances have
+    pairwise-distinct sets. The masks go to the search as they are,
+    through ``CoverInstance.from_masks``.
 
-    a and b must be canonical sets, not both empty; the only check left
-    is the one ``compute_basis`` makes on a | b.
+    a and b must be canonical sets, not both empty; the one check left is
+    the merge of a | b.
     """
-    cb = compute_basis(a + b)
-    profile = exponent_profile(cb, stat)
-    extreme = [profile[p] for p in cb.basis]
-    cols: Sequence[int] = range(len(extreme))
-    a_rows = cb.nonzeros  # a is the source when b is empty
-    if b:
-        row = dict(zip(cb.source, cb.nonzeros))
-        dropped = 0
-        for m in _attained([row[x] for x in b], extreme, cols):
-            dropped |= m
-        cols = [c for c in cols if not dropped >> c & 1]
-        a_rows = [row[x] for x in a]
+    source = natset(a + b)
+    basis, columns = _columns(source)
+    row_of = {x: i for i, x in enumerate(source)} if b else {}
+    b_rows = {row_of[x] for x in b}
+    masks = [0] * len(source)
+    held_by_none = 0  # the bits of the kept columns with extreme 0
+    labels: list[int] = []
+    for p, (rows, exps) in zip(basis, columns):
+        bit = 1 << len(labels)
+        if stat == "min" and len(rows) < len(source):
+            if b_rows and not b_rows.issubset(rows):
+                continue
+            held_by_none += bit
+            bit = -bit  # each holder takes the bit out again
+        else:
+            extreme = max(exps) if stat == "max" else min(exps)
+            if exps.count(extreme) < len(exps):
+                rows = [r for r, e in zip(rows, exps) if e == extreme]
+            if b_rows and not b_rows.isdisjoint(rows):
+                continue
+        for r in rows:
+            masks[r] += bit
+        labels.append(p)
     owner: dict[int, int] = {}  # mask -> smallest owner
-    for x, m in zip(a, _attained(a_rows, extreme, cols)):
-        owner.setdefault(m, x)
+    for x, m in zip(a, [masks[row_of[x]] for x in a] if b else masks):
+        owner.setdefault(m + held_by_none, x)
     return CoverReduction(
-        cover=CoverInstance.from_masks(len(cols), owner),
-        universe_labels=tuple([cb.basis[c] for c in cols]),
+        cover=CoverInstance.from_masks(len(labels), owner),
+        universe_labels=tuple(labels),
         set_owners=tuple(owner.values()),
     )
-
-
-def _attained(
-    rows: Sequence[tuple[tuple[int, int], ...]], extreme: list[int], cols: Sequence[int]
-) -> list[int]:
-    """Per row of (column, exponent) nonzeros, the bitmask of the columns
-    it attains among ``cols``, bit j standing for ``cols[j]``. A row
-    attains a column where its entry is the extreme. A column whose
-    extreme is 0 (a min that some row lacks) it attains exactly where it
-    holds no entry, so that bit starts set and the row's entry clears it."""
-    bit = [0] * len(extreme)
-    zero = [0] * len(extreme)  # the bits of the columns with extreme 0
-    for j, c in enumerate(cols):
-        bit[c] = 1 << j
-        if not extreme[c]:
-            zero[c] = bit[c]
-    held_by_none = sum(zero)
-    return [
-        sum((bit[c] if e == extreme[c] else -zero[c] for c, e in row), held_by_none)
-        for row in rows
-    ]
 
 
 class CoverImage(NamedTuple):

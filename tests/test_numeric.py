@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import enum
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdlcm import CirculantGraph, DomainError, ProblemInstance, gcd_set, lcm_set, natset
@@ -16,6 +17,45 @@ def test_natset_sorts_and_dedups():
     assert natset([10, 2, 2, 7]) == (2, 7, 10)
     assert natset([]) == ()
     assert natset((5,)) == (5,)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(min_value=1, max_value=10**30), max_size=40),
+    st.sampled_from(("sorted", "reversed", "shuffled", "repeated")),
+    st.randoms(use_true_random=False),
+)
+def test_natset_matches_sort_of_set(values, order, rng):
+    if order == "sorted":
+        values.sort()
+    elif order == "reversed":
+        values.sort(reverse=True)
+    elif order == "shuffled":
+        rng.shuffle(values)
+    else:
+        values += values[::2]
+    canonical = natset(values)
+    assert canonical == tuple(sorted(set(values)))
+    assert natset(canonical) is canonical  # canonical input comes back as it is
+    assert natset(iter(canonical)) == canonical
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "3"])
+def test_natset_names_the_first_bad_value_after_a_valid_prefix(bad):
+    with pytest.raises(DomainError, match=f"got {bad!r}$"):
+        natset([*range(1, 501), bad, 0, "x"])
+
+
+class Level(enum.IntEnum):
+    LOW = 2
+    HIGH = 7
+
+
+def test_natset_accepts_int_subclasses_other_than_bool():
+    for values in ([Level.HIGH, 3, Level.LOW, 3], [Level.LOW, 3, Level.HIGH]):
+        canonical = natset(values)
+        assert canonical == (2, 3, 7)
+        assert [type(v) for v in canonical] == [Level, int, Level]
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, "6", True])

@@ -4,6 +4,7 @@ the elimination-map section property and the emitted-size bound."""
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +24,7 @@ from gcdlcm import (
     exponent_profile,
     gcd_set,
     reduce_instance,
+    solve,
 )
 from gcdlcm.reductions import _attainment_cover
 from helpers import (
@@ -154,10 +156,23 @@ shared_powers = st.one_of(
 )
 
 
+# values across the trial bound of the basis: primes around 1000, rough
+# products of them, and small-times-large products whose known prime
+# (1009, 1013) also splits another value's rough cofactor
+across_the_trial_bound = st.one_of(
+    st.sampled_from([991, 997, 1009, 1013, 1009**2, 997 * 1009, 1009 * 1013, 1009 * 1013 * 1019]),
+    st.tuples(
+        st.sampled_from([1, 2, 6, 12, 2 * 3**30]),
+        st.sampled_from([1009, 1013, 10007]),
+        st.integers(min_value=1, max_value=3),
+    ).map(lambda t: t[0] * t[1] ** t[2]),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(shared_powers, min_size=1, max_size=8),
-    st.lists(shared_powers, max_size=3),
+    st.lists(st.one_of(shared_powers, across_the_trial_bound), min_size=1, max_size=8),
+    st.lists(st.one_of(shared_powers, across_the_trial_bound), max_size=3),
     st.sampled_from((1, 2, 12, 30)),
     st.sampled_from(("min", "max")),
 )
@@ -168,6 +183,9 @@ shared_powers = st.one_of(
 @example([3, 5], [7], 2, "min")  # b nonempty, gcd 2 above 1
 @example([4, 6], [8], 1, "max")  # b attains the max at 2; 4 owns an empty set
 @example([2**12, 3**10, 5, 6**11], [3**10], 1, "max")  # exponents of ten and more
+@example([2 * 1009 * 1013 * 1019, 2 * 3**30 * 1009], [], 1, "min")  # 1009 known and split off
+@example([2 * 1009 * 1013 * 1019, 2 * 3**30 * 1009], [], 1, "max")  # ... a rough cofactor
+@example([3, 6], [], 1, "min")  # 3 attains a 0-min column and a positive-min one
 def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
     a = sorted({x * common for x in a})
     b = sorted({x * common for x in b})
@@ -177,6 +195,42 @@ def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
     red = _attainment_cover(tuple(a), tuple(b), stat)
     sparse = (red.cover.universe_size, red.cover.masks, red.universe_labels, red.set_owners)
     assert sparse == dense_attainment_reduction(a, b, stat)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ProblemInstance(a=(6, 10, 15, 35, 77, 91), b=(2 * 3 * 5 * 7 * 11 * 13,), mode="min-gcd"),
+        gcdlcm.generate_instance(1, 60, 10**4, mode="max-lcm", b_count=2),
+    ],
+    ids=["min-gcd", "max-lcm"],
+)
+def test_the_solve_path_builds_no_row_major_basis(monkeypatch, capsys, inst):
+    # the reduction reads the basis by column; only the basis command
+    # builds the rows of nonzeros
+    expected = (solve(inst).s, reduce_instance(inst))
+    args = [inst.mode, "-A", *map(str, inst.a), "-B", *map(str, inst.b)]
+
+    def run_cli():
+        outs = []
+        for cmd in ("solve", "reduce"):
+            assert gcdlcm.cli.main([cmd, "--mode", *args]) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    cli_out = run_cli()
+
+    def refuse(*args):
+        raise AssertionError("the solve path built a row-major basis")
+
+    for name, module in list(sys.modules.items()):
+        for attr in ("compute_basis", "exponent_profile"):
+            if name.split(".")[0] == "gcdlcm" and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    assert (solve(inst).s, reduce_instance(inst)) == expected
+    assert run_cli() == cli_out
+    with pytest.raises(AssertionError, match="row-major"):
+        gcdlcm.cli.main(["basis", "--mode", *args])
 
 
 def test_forward_reduction_has_one_entry(monkeypatch, capsys):

@@ -202,7 +202,8 @@ def test_reduction_hands_its_masks_over_unchecked(monkeypatch, mode, b_count):
 )
 def test_built_instances_are_not_checked_again(monkeypatch, inst):
     # the stages behind reduce_instance take the canonical sets of a built
-    # instance as they are; the one check left is compute_basis's own
+    # instance as they are; the one check left is the merge of a | b in
+    # the attainment cover
     callers = []
 
     def counted(values):
@@ -216,7 +217,7 @@ def test_built_instances_are_not_checked_again(monkeypatch, inst):
     for run in (solve, reduce_instance):
         callers.clear()
         run(inst)
-        assert callers == ["compute_basis"], run.__name__
+        assert callers == ["_attainment_cover"], run.__name__
 
 
 @pytest.mark.parametrize(
