@@ -80,11 +80,14 @@ def is_connected_bfs(g: CirculantGraph) -> bool:
 
 def prune_links(g: CirculantGraph, method: str = "exact") -> NatSet:
     """Minimal (exact) or approximately minimal (greedy) link subset
-    keeping the graph connected. The input graph must be connected."""
-    if not is_connected_gcd(g):
+    keeping the graph connected. The links, checked once by
+    ``CirculantGraph``, go to ``solve`` as they are; its target, the gcd of
+    the links and m, certifies that the graph is not connected if above 1.
+    """
+    sol = solve(ProblemInstance._make((g.links, (g.node_count,), "min-gcd")), method)
+    if sol.target != 1:
         raise InfeasibleError(
             f"graph on {g.node_count} nodes with links {list(g.links)} is not connected",
-            certificate={"gcd": gcd_set(g.links + (g.node_count,))},
+            certificate={"gcd": sol.target},
         )
-    inst = ProblemInstance(a=g.links, b=(g.node_count,), mode="min-gcd")
-    return solve(inst, method).s
+    return sol.s

@@ -3,9 +3,10 @@
 Every subcommand prints one canonical JSON document on standard output
 (or to --output); diagnostics go to standard error. Exit codes: 0 on
 success, 1 on infeasibility (a JSON certificate is still printed), 2 on
-usage, parse, or domain errors. Output is byte-identical across runs
-with the same inputs; the only deliberately nondeterministic field,
-wall time, stays behind the opt-in --timings flag.
+usage, parse, or domain errors, 130 on Ctrl-C (one line on standard
+error). Output is byte-identical across runs with the same inputs; the
+only deliberately nondeterministic field, wall time, stays behind the
+opt-in --timings flag.
 """
 
 from __future__ import annotations
@@ -91,24 +92,17 @@ def _cmd_circulant(args):
 
     nodes = jsonio.parse_int(args.nodes, "nodes")
     g = CirculantGraph(node_count=nodes, links=tuple(jsonio.parse_int_list(args.links, "links")))
+    payload = {"links": [str(x) for x in g.links], "nodes": g.node_count}
     try:
         pruned = prune_links(g, method=args.method)
     except InfeasibleError as exc:
-        payload = {
-            "connected": False,
-            "gcd": str(exc.certificate["gcd"]),
-            "links": [str(x) for x in g.links],
-            "nodes": g.node_count,
-        }
-        return payload, 1
-    payload = {
+        return {**payload, "connected": False, "gcd": str(exc.certificate["gcd"])}, 1
+    return {
+        **payload,
         "connected": True,
-        "links": [str(x) for x in g.links],
-        "nodes": g.node_count,
         "pruned_links": [str(x) for x in pruned],
         "removed_count": len(g.links) - len(pruned),
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_gen(args):
@@ -224,6 +218,14 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except KeyboardInterrupt:  # Ctrl-C ends a long search with one line
+        print("error: interrupted", file=sys.stderr)
+        return 130
+
+
+def _run(args) -> int:
     try:
         payload, status = args.handler(args)
     except InfeasibleError as exc:

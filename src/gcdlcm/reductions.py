@@ -12,8 +12,8 @@ optimal sizes transfer both ways. Max-lcm covers a next to b as they
 are. Min-gcd first folds b into a, each x becoming gcd({x} | b), and
 covers that image with no b: on circulant link pruning, where b holds
 the node count, the basis of all of a | b would cost tens of times the
-whole solve. The instance's sets are canonical; the one check left is
-the merge of a | b, which returns canonical input as it is.
+whole solve. The instance's sets are canonical and are not checked
+again: the merge of a | b sorts their union and checks nothing.
 
 Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
@@ -88,10 +88,10 @@ def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     pairwise-distinct sets. The masks go to the search as they are,
     through ``CoverInstance.from_masks``.
 
-    a and b must be canonical sets, not both empty; the one check left is
-    the merge of a | b.
+    a and b must be canonical sets, not both empty. They are not checked
+    again: a | b is their sorted union, or a itself when b is empty.
     """
-    source = natset(a + b)
+    source = tuple(sorted({*a, *b})) if b else a
     basis, columns = _columns(source)
     row_of = {x: i for i, x in enumerate(source)} if b else {}
     b_rows = {row_of[x] for x in b}

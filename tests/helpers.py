@@ -33,14 +33,16 @@ def run_python(
     *args: str, stdin: str | None = None, env: dict[str, str] | None = None
 ) -> subprocess.CompletedProcess:
     """A fresh ``python ARGS`` with this checkout's ``src`` first on the path."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path, **(env or {})},
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=python_env(env)
     )
+
+
+def python_env(env: dict[str, str] | None = None) -> dict[str, str]:
+    """This process's environment, with this checkout's ``src`` first on
+    the path and ``env`` on top."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **(env or {})}
 
 
 def set_value(mode: str, values) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdlcm import (
@@ -14,11 +14,12 @@ from gcdlcm import (
     DomainError,
     InfeasibleError,
     brute_force,
+    gcd_set,
     is_connected_bfs,
     is_connected_gcd,
     prune_links,
 )
-from gcdlcm.solver import ProblemInstance
+from gcdlcm.solver import ProblemInstance, solve
 
 
 def graph(m, links):
@@ -108,3 +109,42 @@ def test_prune_minimality_and_connectivity(m, links):
     assert is_connected_bfs(graph(m, pruned))
     oracle = brute_force(ProblemInstance(a=g.links, b=(m,), mode="min-gcd"))
     assert len(pruned) == oracle.size
+
+
+@st.composite
+def graphs(draw):
+    """Circulant graphs whose links may repeat or be multiples of m."""
+    m = draw(st.integers(min_value=1, max_value=500))
+    link = st.integers(min_value=1, max_value=1000) | st.integers(1, 4).map(lambda k: k * m)
+    return graph(m, draw(st.lists(link, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+@example(graph(1, []))
+@example(graph(1, [3, 5]))
+@example(graph(7, []))
+@example(graph(6, [6, 12]))
+@example(graph(6, [4, 6, 9]))
+@example(graph(4, [2, 4, 8]))
+def test_prune_answers_as_the_checked_solve(g):
+    # prune_links hands the graph's links over unchecked; it answers as
+    # solve on an instance built and checked from the same links
+    m = g.node_count
+    for method in ("exact", "greedy"):
+        if is_connected_gcd(g):
+            checked = solve(ProblemInstance(g.links, (m,), "min-gcd"), method)
+            assert prune_links(g, method) == checked.s
+            continue
+        with pytest.raises(InfeasibleError) as exc:
+            prune_links(g, method)
+        assert str(exc.value) == f"graph on {m} nodes with links {list(g.links)} is not connected"
+        assert exc.value.certificate == {"gcd": gcd_set(g.links + (m,))}
+
+
+def test_prune_refuses_a_bad_method_before_connectivity():
+    # solve checks the method first, so a disconnected graph with a bad
+    # method is refused as a domain error, not reported as disconnected
+    for g in (graph(4, [2]), graph(4, [1, 2])):
+        with pytest.raises(DomainError, match="method must be"):
+            prune_links(g, "brute-force")

@@ -6,7 +6,10 @@ import io
 import itertools
 import json
 import math
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,8 @@ from gcdlcm import (
 )
 from gcdlcm.generate import generate_instance
 from gcdlcm.numeric import first_primes
-from helpers import run_cli
+from gcdlcm.reductions import cover_to_lcm
+from helpers import python_env, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -349,7 +353,7 @@ def test_cli_and_library_build_no_set_lists(monkeypatch, capsys, tmp_path, unlim
     calls.append(["solve", "--mode", "max-lcm", "-A", "4", "6", "-B", "8"])
     cover_file = tmp_path / "cover.json"
     cover_file.write_text(
-        json.dumps({"sets": [list(s) for s in _ag23_hitting_cover().sets], "universe_size": 12})
+        json.dumps({"sets": [list(s) for s in _ag_hitting_cover(2).sets], "universe_size": 12})
     )
     for mode in ("min-gcd", "max-lcm"):
         backward = ["reduce", "--direction", "backward", "--mode", mode]
@@ -398,21 +402,27 @@ def test_solve_with_an_owner_of_no_columns():
     )
 
 
-def _ag23_hitting_cover() -> CoverInstance:
-    """Hitting-set cover of the affine plane AG(2, 3): the universe is its
-    12 lines, sorted as sorted index triples, and each of the 9 points, in
-    ``itertools.product`` order, owns the 4 lines through it."""
-    points = list(itertools.product(range(3), repeat=2))
+def _ag_hitting_cover(dim: int) -> CoverInstance:
+    """Hitting-set cover of the affine space AG(dim, 3): the universe is its
+    lines, sorted as sorted index triples, and each point, in
+    ``itertools.product`` order, owns the lines through it."""
+    points = list(itertools.product(range(3), repeat=dim))
+    index = {p: i for i, p in enumerate(points)}
+    # one direction per line class: the first nonzero coordinate is 1
+    directions = [d for d in points if any(d) and d[next(i for i, c in enumerate(d) if c)] == 1]
     lines = sorted(
         {
-            tuple(sorted(points.index(((x + t * dx) % 3, (y + t * dy) % 3)) for t in range(3)))
-            for x, y in points
-            for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))
+            tuple(sorted(index[tuple((x + t * dx) % 3 for x, dx in zip(p, d))] for t in range(3)))
+            for p in points
+            for d in directions
         }
     )
-    assert len(lines) == 12
-    sets = [tuple([j for j, line in enumerate(lines) if i in line]) for i in range(9)]
-    return CoverInstance(12, tuple(sets))
+    assert len(lines) == len(points) * (len(points) - 1) // 6
+    sets = [[] for _ in points]
+    for j, line in enumerate(lines):
+        for i in line:
+            sets[i].append(j)
+    return CoverInstance(len(lines), tuple(map(tuple, sets)))
 
 
 @pytest.mark.parametrize(
@@ -426,7 +436,7 @@ def test_ag23_cover_solves_through_its_integer_image(
     has 4 of the 9 points, so the optimum is 5. Embedded as integers by
     the backward reduction and solved as a subset problem, it keeps that
     size, and the owners of S form a cover."""
-    cover = _ag23_hitting_cover()
+    cover = _ag_hitting_cover(2)
     assert exact_cover(cover).chosen == (0, 1, 2, 3, 6)
     assert decide_cover(cover, 5) and not decide_cover(cover, 4)
 
@@ -442,3 +452,32 @@ def test_ag23_cover_solves_through_its_integer_image(
     assert tuple(sorted(image["owner_sets"][x] for x in sol["S"])) == owners
     covered = set().union(*(cover.sets[i] for i in owners))
     assert covered == set(range(12))
+
+
+def test_ctrl_c_ends_a_long_search_with_one_line(tmp_path):
+    """SIGINT in the middle of a search: exit code 130 and one line on
+    standard error, no traceback. The max-lcm image of AG(4, 3)'s
+    hitting-set cover reduces in about 0.1 s and then searches for
+    minutes."""
+    image = cover_to_lcm(_ag_hitting_cover(4))
+    doc = tmp_path / "ag43.json"
+    doc.write_text(json.dumps({"A": [str(x) for x in image.elements], "B": [], "mode": "max-lcm"}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gcdlcm", "solve", "--input", str(doc)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=python_env(),
+    )
+    try:
+        time.sleep(1.5)
+        assert proc.poll() is None, "the search ended before it was interrupted"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: interrupted"]
+    assert (proc.returncode, out) == (130, "")

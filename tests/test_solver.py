@@ -13,12 +13,14 @@ import gcdlcm.solver as solver_module
 from gcdlcm import (
     BRUTE_FORCE_CAP,
     CapExceededError,
+    CirculantGraph,
     CoverInstance,
     DomainError,
     ProblemInstance,
     brute_force,
     decide,
     generate_instance,
+    prune_links,
     reduce_instance,
     solve,
 )
@@ -193,17 +195,17 @@ def test_reduction_hands_its_masks_over_unchecked(monkeypatch, mode, b_count):
 
 
 @pytest.mark.parametrize(
-    "inst",
+    "built",
     [
         mk([6, 10, 15, 35, 77, 91], [2 * 3 * 5 * 7 * 11 * 13]),
         generate_instance(1, 60, 10**4, mode="max-lcm", b_count=2),
+        CirculantGraph(2 * 3 * 5 * 7, (6, 10, 15, 35, 42, 77)),
     ],
-    ids=["min-gcd", "max-lcm"],
+    ids=["min-gcd", "max-lcm", "prune_links"],
 )
-def test_built_instances_are_not_checked_again(monkeypatch, inst):
-    # the stages behind reduce_instance take the canonical sets of a built
-    # instance as they are; the one check left is the merge of a | b in
-    # the attainment cover
+def test_built_instances_are_not_checked_again(monkeypatch, built):
+    # a built record's sets are canonical: neither the stages behind
+    # reduce_instance nor the pruning of a built graph check them again
     callers = []
 
     def counted(values):
@@ -213,11 +215,16 @@ def test_built_instances_are_not_checked_again(monkeypatch, inst):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "gcdlcm" and hasattr(module, "natset"):
             monkeypatch.setattr(module, "natset", counted)
-    assert inst.b and solve(inst).size > 1
-    for run in (solve, reduce_instance):
+    if isinstance(built, CirculantGraph):
+        runs = (prune_links,)
+        assert len(prune_links(built)) > 1
+    else:
+        runs = (solve, reduce_instance)
+        assert built.b and solve(built).size > 1
+    for run in runs:
         callers.clear()
-        run(inst)
-        assert callers == ["_attainment_cover"], run.__name__
+        run(built)
+        assert callers == [], run.__name__
 
 
 @pytest.mark.parametrize(
