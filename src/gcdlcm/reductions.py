@@ -88,7 +88,8 @@ def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     pairwise-distinct sets. The masks go to the search as they are,
     through ``CoverInstance.from_masks``.
 
-    a and b must be canonical sets, not both empty. They are not checked
+    a and b must be canonical sets, not both empty, and b is empty for
+    "min" (``reduce_instance`` folds it into a first). They are not checked
     again: a | b is their sorted union, or a itself when b is empty.
     """
     source = tuple(sorted({*a, *b})) if b else a
@@ -101,8 +102,6 @@ def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     for p, (rows, exps) in zip(basis, columns):
         bit = 1 << len(labels)
         if stat == "min" and len(rows) < len(source):
-            if b_rows and not b_rows.issubset(rows):
-                continue
             held_by_none += bit
             bit = -bit  # each holder takes the bit out again
         else:

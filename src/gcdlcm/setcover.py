@@ -6,8 +6,8 @@ every solver. The greedy solver carries the classical harmonic-number
 guarantee |greedy| <= H(|X|) * OPT; the exact solver returns the
 lexicographically smallest index list among all minimum covers, so
 results are canonical. After the classic set-cover data reductions, one
-bounded search answers the optimum and the decision "at most k sets?";
-the witness comes by self-reduction on that decision.
+bounded search decides "a cover of at most k sets?"; the optimum is a
+descent on that decision and the witness comes by self-reduction on it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import accumulate
 from typing import NamedTuple
 
 from gcdlcm.errors import DomainError, InfeasibleError
@@ -39,9 +38,11 @@ class CoverInstance(_CoverFields):
         if type(n) is not int or n < 0:  # bool, a subclass of int, is refused
             raise DomainError(f"universe size must be a nonnegative int, got {n!r}")
         masks = []
-        for s in sets:
+        for s in map(tuple, sets):  # read twice: set() and sorted() fail on some types
+            if all(type(e) is int for e in s):
+                s = sorted(set(s))  # the smallest bad element is named
             m = 0
-            for e in sorted(set(s)):  # the smallest bad element is named
+            for e in s:
                 if type(e) is not int or not 0 <= e < n:
                     raise DomainError(f"set element {e!r} is not an int in range({n})")
                 m |= 1 << e
@@ -97,9 +98,9 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
     """Minimum cover; among minimum covers, the lexicographically smallest
     index list. An empty universe is covered by the empty subfamily.
 
-    One bounded search, the witness by self-reduction (``_exact_search``)
-    on what ``_kernelize`` leaves, mapped back through the increasing live
-    indices and joined to the forced sets.
+    The optimum by descent and the witness by self-reduction on one
+    decision (``_exact_search``), on what ``_kernelize`` leaves, mapped
+    back through the increasing live indices and joined to the forced sets.
     """
     require_feasible(inst)
     masks = inst.masks
@@ -110,7 +111,7 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
 
 def decide_cover(inst: CoverInstance, k: int) -> bool:
     """Is there a cover of size <= k? Infeasible instances answer no.
-    The same bounded search, asked for k sets and no witness."""
+    The one decision, asked once."""
     try:
         require_feasible(inst)
     except InfeasibleError:
@@ -189,19 +190,20 @@ def _greedy_order(masks: Sequence[int], full: int) -> list[int]:
 
 
 def _kernel_cover(masks: Sequence[int], full: int, k: int) -> list[int] | None:
-    """``_min_cover`` behind ``_kernelize``, forced sets included."""
+    """``_cover_within`` behind ``_kernelize``, forced sets included."""
     forced, live, uncovered = _kernelize(masks, full)
     if len(forced) > k:
         return None
-    rest = _min_cover([masks[i] & uncovered for i in live], uncovered, k - len(forced))
+    rest = _cover_within([masks[i] & uncovered for i in live], uncovered, k - len(forced))
     return None if rest is None else forced + [live[i] for i in rest]
 
 
 def _exact_search(masks: list[int], full: int) -> list[int]:
     """Lexicographically smallest minimum cover of ``full`` by sets within
-    it, by self-reduction on the one bounded search ``_min_cover``.
+    it, by descent and self-reduction on the one decision ``_cover_within``.
 
-    ``_min_cover`` gives a minimum cover C, of s sets; the witness W is
+    A descent, asking for one set fewer than the last cover found until
+    the answer is no, gives a minimum cover C of s sets. The witness W is
     fixed one position at a time. With W[:p] fixed and C[p:] covering the
     rest, each j > W[p - 1] whose later sets cover what it leaves with
     s - p - 1 sets (no fewer can) starts a minimum cover, and a smaller
@@ -209,20 +211,19 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
     least such j. C[p] is one, so only j < C[p] are decided, and a yes
     replaces C[p:] by j and the cover found. A j adding nothing would
     leave s - 1 sets, so it is skipped. The later sets always cover the
-    rest, since C[p:] lies among them; each decision asks whether their
-    largest could in time, then runs ``_kernel_cover`` (``_kernelize``
-    keeps the optimum).
+    rest, since C[p:] lies among them; each decision runs ``_kernel_cover``
+    (``_kernelize`` keeps the optimum).
     """
-    suffix_maxbits = list(accumulate(map(int.bit_count, reversed(masks)), max, initial=0))[::-1]
-    cover = sorted(_min_cover(masks, full, len(masks)))  # cover[:p] is final
+    cover = _cover_within(masks, full, len(masks))
+    while (fewer := _cover_within(masks, full, len(cover) - 1)) is not None:
+        cover = fewer
+    cover.sort()  # cover[:p] is final
     covered = 0
     for p in range(len(cover)):
         left = len(cover) - p - 1  # sets after the one position p takes
         for j in range(cover[p - 1] + 1 if p else 0, cover[p]):
-            rest = full & ~(covered | masks[j])
-            fits = rest.bit_count() <= left * suffix_maxbits[j + 1]
-            if fits and masks[j] & ~covered:
-                found = _kernel_cover(masks[j + 1 :], rest, left)
+            if masks[j] & ~covered:
+                found = _kernel_cover(masks[j + 1 :], full & ~(covered | masks[j]), left)
                 if found is not None:
                     cover[p:] = [j] + sorted(j + 1 + i for i in found)
                     break
@@ -230,27 +231,28 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
     return cover
 
 
-def _min_cover(masks: list[int], full: int, k: int) -> list[int] | None:
-    """A smallest cover of ``full`` by at most ``k`` of the sets, which lie
-    within it and cover it; None when every cover needs more. Greedy gives
-    the first incumbent. The branch-and-bound branches on the first element
-    ``_packing`` keeps, tries its holders by decreasing gain, skips one
-    whose gain a tried sibling's contains, and bounds every node by the
-    packing."""
+def _cover_within(masks: list[int], full: int, k: int) -> list[int] | None:
+    """The first cover of ``full`` by at most ``k`` of the sets (which lie
+    within it and cover it) that the search meets, or None. The root's
+    cheap bound ceil(|full| / largest set) refutes k, else greedy's cover
+    accepts it, else a branch-and-bound stopping at its first leaf decides.
+    It branches on the first element ``_packing`` keeps, tries its holders
+    by decreasing gain, skips one whose gain a tried sibling's contains,
+    and cuts a node once its depth plus the packing exceeds k."""
     if not full:
-        return []
+        return [] if k >= 0 else None
+    if -(-full.bit_count() // max(map(int.bit_count, masks))) > k:
+        return None  # before greedy, which a descent's last step would redo
     greedy = _greedy_order(masks, full)
-    best = greedy if len(greedy) <= k else None
-    limit = min(len(greedy), k + 1)  # search for covers below this size
-    if -(-full.bit_count() // max(m.bit_count() for m in masks)) >= limit:
-        return best  # the root's cheap bound already meets the limit
+    if len(greedy) <= k:
+        return greedy
     holders, packing = _packing(masks, full)
 
     def children(covered: int, depth: int):
-        # yield (set, coverage) per child, checking the bound again after each
+        # yield (set, coverage) per child of a node the packing keeps
         rem = full & ~covered
-        need, x = packing(rem, limit - depth)
-        if depth + need >= limit:
+        need, x = packing(rem, k + 1 - depth)
+        if depth + need > k:
             return
         cands = sorted(holders[x], key=lambda i: (-(masks[i] & rem).bit_count(), i))
         tried: list[int] = []
@@ -260,8 +262,6 @@ def _min_cover(masks: list[int], full: int, k: int) -> list[int] | None:
                 continue  # gain dominated by a sibling already explored
             tried.append(g)
             yield i, covered | masks[i]
-            if depth + need >= limit:
-                return
 
     # a stack of (open node, set leading to it) keeps off the recursion limit
     stack = [(children(0, 0), -1)]
@@ -270,11 +270,10 @@ def _min_cover(masks: list[int], full: int, k: int) -> list[int] | None:
         if step is None:
             stack.pop()
         elif step[1] == full:
-            best = [i for _, i in stack[1:]] + [step[0]]
-            limit = len(best)
+            return [i for _, i in stack[1:]] + [step[0]]
         else:
             stack.append((children(step[1], len(stack)), step[0]))
-    return best
+    return None
 
 
 def _packing(masks: list[int], full: int):

@@ -59,6 +59,33 @@ def test_no_dataclasses_and_no_module_level_import_the_cli_never_runs():
             assert _submodules_imported(tree.body) == EVERY_CALL_IMPORTS[path.name], path.name
 
 
+def test_every_private_helper_is_named_outside_its_own_definition():
+    # a helper the library no longer calls (left behind by a rewrite, or
+    # kept only for tests) is named nowhere else in the package
+    statements = [node for path in SOURCES for node in ast.parse(path.read_text(), str(path)).body]
+
+    def names(statement):
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.split(".")[-1]
+
+    named = [set(names(statement)) for statement in statements]
+    helpers = [
+        (i, node.name)
+        for i, node in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert any(name == "_kernelize" for _, name in helpers)  # the definitions were read
+    for i, name in helpers:
+        assert any(name in other for j, other in enumerate(named) if j != i), name
+
+
 def test_the_import_graph_is_acyclic():
     # every import statement counts, in function bodies and TYPE_CHECKING
     # blocks too: a layer that names one above it, even for an annotation,

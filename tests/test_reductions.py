@@ -178,7 +178,7 @@ across_the_trial_bound = st.one_of(
 )
 @example([1, 6, 10, 15], [], 1, "min")  # an all-zero row attains every zero minimum
 @example([1, 6, 10, 15], [], 1, "max")  # ... and no maximum
-@example([4], [4], 1, "min")  # gcd 4: a positive-min column, attained by b
+@example([4], [4], 1, "min")  # b folds a to [4]: a positive-min column, gcd 4
 @example([12, 18, 30], [], 1, "min")  # gcd 6: positive-min columns, attained in a
 @example([3, 5], [7], 2, "min")  # b nonempty, gcd 2 above 1
 @example([4, 6], [8], 1, "max")  # b attains the max at 2; 4 owns an empty set
@@ -192,9 +192,17 @@ def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
     cb = compute_basis(a + b)
     assert densify(cb.basis, cb.nonzeros) == dense_exponents(cb.source, cb.basis)
     assert exponent_profile(cb, stat) == dense_exponent_profile(cb.source, cb.basis, stat)
-    red = _attainment_cover(tuple(a), tuple(b), stat)
+    if stat == "max":
+        red = _attainment_cover(tuple(a), tuple(b), stat)
+        expected = dense_attainment_reduction(a, b, stat)
+    else:
+        # min-gcd covers the image of reduce_instance's fold of b into a, with no b
+        red, bem = reduce_instance(ProblemInstance(a, b, "min-gcd"))
+        image = sorted({math.gcd(x, *b) for x in a})
+        assert bem.reduced == tuple(image)
+        expected = dense_attainment_reduction(image, [], stat)
     sparse = (red.cover.universe_size, red.cover.masks, red.universe_labels, red.set_owners)
-    assert sparse == dense_attainment_reduction(a, b, stat)
+    assert sparse == expected
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,14 @@ def test_rejects_bools():
         CoverInstance(universe_size=True, sets=((0,),))
 
 
+@pytest.mark.parametrize("bad", ["x", None, [0]])
+def test_rejects_elements_that_are_no_ints(bad):
+    # an element is checked before the set is built and sorted: a str or
+    # None beside an int does not sort, and a list does not hash
+    with pytest.raises(DomainError, match="is not an int in range"):
+        inst(3, [0, bad])
+
+
 def test_empty_universe_needs_no_sets():
     assert exact_cover(inst(0)).chosen == ()
     assert exact_cover(inst(0, [], [])).chosen == ()
@@ -101,6 +109,14 @@ def test_greedy_overshoots_on_the_classic_trap():
     assert e.is_optimal
     harmonic = sum(1 / k for k in range(1, ci.universe_size + 1))
     assert g.size <= harmonic * e.size
+    # two rows of 15 columns: blocks of 1, 2, 4 and 8 columns across both
+    # rows bait greedy into four picks where the two rows suffice, so the
+    # descent from greedy's cover goes more than one set below it
+    blocks = [range(0, 1), range(1, 3), range(3, 7), range(7, 15)]
+    rows = [range(0, 15), range(15, 30)]
+    ci = inst(30, *[[e for c in b for e in (c, c + 15)] for b in blocks], *rows)
+    assert greedy_cover(ci).chosen == (0, 1, 2, 3)
+    assert exact_cover(ci).chosen == (4, 5)
 
 
 def test_greedy_tie_breaks_to_lowest_index():
@@ -179,8 +195,14 @@ def test_exact_matches_exhaustive_oracle(ci):
     # the packing lower bound at the root never exceeds the optimum
     _, packing = setcover._packing(masks, full)
     assert packing(full, len(masks) + 1)[0] <= size
-    assert decide_cover(ci, size)
-    assert not decide_cover(ci, size - 1)
+    for k in range(len(ci.sets) + 1):
+        assert decide_cover(ci, k) == (k >= size)
+        # above the optimum the decision returns some cover within k, not
+        # always a smallest one
+        found = setcover._kernel_cover(masks, full, k)
+        if k >= size:
+            assert len(set(found)) == len(found) <= k
+            assert set().union(*(ci.sets[i] for i in found)) == set(range(ci.universe_size))
 
 
 @settings(max_examples=400, deadline=None)
