@@ -75,10 +75,9 @@ def gcd_set(values: Iterable[int]) -> int:
 
 def lcm_set(values: Iterable[int]) -> int:
     """lcm of all elements; 1 for the empty set."""
-    vals = list(values)
-    for v in vals:
-        if v == 0:
-            raise DomainError("lcm is not defined for sets containing 0")
+    vals = tuple(values)
+    if 0 in vals:
+        raise DomainError("lcm is not defined for sets containing 0")
     return math.lcm(*vals)
 
 

@@ -86,7 +86,7 @@ def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     set in every mask and leaving each holder's. Equal masks collapse to
     the smallest owner, so reduction-produced instances have
     pairwise-distinct sets. The masks go to the search as they are,
-    through ``CoverInstance.from_masks``.
+    through ``CoverInstance._make``.
 
     a and b must be canonical sets, not both empty, and b is empty for
     "min" (``reduce_instance`` folds it into a first). They are not checked
@@ -117,7 +117,7 @@ def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     for x, m in zip(a, [masks[row_of[x]] for x in a] if b else masks):
         owner.setdefault(m + held_by_none, x)
     return CoverReduction(
-        cover=CoverInstance.from_masks(len(labels), owner),
+        cover=CoverInstance._make((len(labels), tuple(owner))),
         universe_labels=tuple(labels),
         set_owners=tuple(owner.values()),
     )

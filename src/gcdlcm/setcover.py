@@ -5,16 +5,16 @@ built once by the reduction or the validating constructor and read by
 every solver. The greedy solver carries the classical harmonic-number
 guarantee |greedy| <= H(|X|) * OPT; the exact solver returns the
 lexicographically smallest index list among all minimum covers, so
-results are canonical. After the classic set-cover data reductions, one
-bounded search decides "a cover of at most k sets?"; the optimum is a
-descent on that decision and the witness comes by self-reduction on it.
+results are canonical. The classic set-cover data reductions run once
+per call; on what they leave, one bounded search decides "a cover of at
+most k sets?", the optimum is a descent on that decision and the witness
+comes by self-reduction on it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from functools import cached_property
 from typing import NamedTuple
 
 from gcdlcm.errors import DomainError, InfeasibleError
@@ -30,9 +30,12 @@ class CoverInstance(_CoverFields):
     """Universe size plus an ordered list of set bitmasks (bit e set when
     the set holds element e). ``CoverInstance(universe_size, sets)`` checks
     index lists from outside, in any order and with repeats, and builds the
-    masks in that pass; ``sets`` views them as sorted index tuples."""
+    masks in that pass; ``CoverInstance._make((universe_size, masks))``
+    takes a tuple of masks below ``1 << universe_size`` unchecked. ``sets``
+    views the masks as sorted index tuples."""
 
-    # no ``__slots__ = ()``: the cached ``sets`` view lives in the instance dict
+    __slots__ = ()
+
     def __new__(cls, universe_size: int, sets):
         n = universe_size
         if type(n) is not int or n < 0:  # bool, a subclass of int, is refused
@@ -49,16 +52,11 @@ class CoverInstance(_CoverFields):
             masks.append(m)
         return _CoverFields.__new__(cls, n, tuple(masks))
 
-    @classmethod
-    def from_masks(cls, universe_size: int, masks) -> CoverInstance:
-        """The instance over ``masks``, unchecked: each lies below ``1 << universe_size``."""
-        return _CoverFields.__new__(cls, universe_size, tuple(masks))
-
     def __reduce__(self):
         # unpickle through the masks: ``__new__`` would read them as index lists
-        return type(self).from_masks, tuple(self)
+        return type(self)._make, (tuple(self),)
 
-    @cached_property
+    @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(set_bits, self.masks))
 
@@ -98,9 +96,10 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
     """Minimum cover; among minimum covers, the lexicographically smallest
     index list. An empty universe is covered by the empty subfamily.
 
-    The optimum by descent and the witness by self-reduction on one
-    decision (``_exact_search``), on what ``_kernelize`` leaves, mapped
-    back through the increasing live indices and joined to the forced sets.
+    ``_kernelize`` runs once; the optimum by descent and the witness by
+    self-reduction on one decision (``_exact_search``) run on what it
+    leaves, mapped back through the increasing live indices and joined to
+    the forced sets.
     """
     require_feasible(inst)
     masks = inst.masks
@@ -111,12 +110,16 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
 
 def decide_cover(inst: CoverInstance, k: int) -> bool:
     """Is there a cover of size <= k? Infeasible instances answer no.
-    The one decision, asked once."""
+    The one decision, asked once on what ``_kernelize`` leaves, with k
+    less the forced sets."""
     try:
         require_feasible(inst)
     except InfeasibleError:
         return False
-    return _kernel_cover(inst.masks, (1 << inst.universe_size) - 1, k) is not None
+    masks = inst.masks
+    forced, live, uncovered = _kernelize(masks, (1 << inst.universe_size) - 1)
+    k -= len(forced)
+    return k >= 0 and _cover_within([masks[i] & uncovered for i in live], uncovered, k) is not None
 
 
 def _kernelize(masks: Sequence[int], full: int) -> tuple[list[int], list[int], int]:
@@ -189,15 +192,6 @@ def _greedy_order(masks: Sequence[int], full: int) -> list[int]:
     return chosen
 
 
-def _kernel_cover(masks: Sequence[int], full: int, k: int) -> list[int] | None:
-    """``_cover_within`` behind ``_kernelize``, forced sets included."""
-    forced, live, uncovered = _kernelize(masks, full)
-    if len(forced) > k:
-        return None
-    rest = _cover_within([masks[i] & uncovered for i in live], uncovered, k - len(forced))
-    return None if rest is None else forced + [live[i] for i in rest]
-
-
 def _exact_search(masks: list[int], full: int) -> list[int]:
     """Lexicographically smallest minimum cover of ``full`` by sets within
     it, by descent and self-reduction on the one decision ``_cover_within``.
@@ -210,9 +204,9 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
     p-th index is lexicographically smaller whatever follows: W[p] is the
     least such j. C[p] is one, so only j < C[p] are decided, and a yes
     replaces C[p:] by j and the cover found. A j adding nothing would
-    leave s - 1 sets, so it is skipped. The later sets always cover the
-    rest, since C[p:] lies among them; each decision runs ``_kernel_cover``
-    (``_kernelize`` keeps the optimum).
+    leave s - 1 sets, so it is skipped. Each decision asks for the rest
+    by the later sets restricted to it, which cover it, since C[p:] lies
+    among them.
     """
     cover = _cover_within(masks, full, len(masks))
     while (fewer := _cover_within(masks, full, len(cover) - 1)) is not None:
@@ -223,7 +217,8 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
         left = len(cover) - p - 1  # sets after the one position p takes
         for j in range(cover[p - 1] + 1 if p else 0, cover[p]):
             if masks[j] & ~covered:
-                found = _kernel_cover(masks[j + 1 :], full & ~(covered | masks[j]), left)
+                rest = full & ~(covered | masks[j])
+                found = _cover_within([m & rest for m in masks[j + 1 :]], rest, left)
                 if found is not None:
                     cover[p:] = [j] + sorted(j + 1 + i for i in found)
                     break

@@ -205,7 +205,7 @@ def test_rows_and_sets_write_what_json_dumps_writes_for_dense_lists(sparse, mask
     )
     dense_rows = [[dict(row).get(c, 0) for c in range(width)] for row in nonzeros]
     n, mask_list = masks
-    cover = CoverInstance.from_masks(n, mask_list)
+    cover = CoverInstance._make((n, mask_list))
     dense_sets = [[j for j in range(n) if m >> j & 1] for m in mask_list]
     payload = _nest([basis_to_payload(cb), cover_instance_to_payload(cover)], depth)
     dense = [

@@ -31,7 +31,7 @@ def _records() -> list:
         CoverReduction(cover=cover, universe_labels=(2, 3, 5), set_owners=(10, 3, 9)),
         CoverImage(elements=(6, 10), owners={6: 0, 10: 1}, target=30),
         cover,
-        CoverInstance.from_masks(3, (0b101,)),
+        CoverInstance._make((3, (0b101,))),
         CoverSolution(chosen=(0, 1), is_optimal=True),
         ProblemInstance(a=(15, 6, 10, 6), b=(4,), mode="min-gcd"),
         SolveStats(elapsed_s=0.5, universe_size=3, num_sets=2),
@@ -61,6 +61,8 @@ def test_fields_cannot_be_assigned(index):
     for name in rec._fields:
         with pytest.raises(AttributeError):
             setattr(rec, name, None)
+    with pytest.raises(AttributeError):  # no instance __dict__ takes it either
+        rec.not_a_field = None
 
 
 @RECORDS
@@ -79,9 +81,9 @@ def test_pickle_round_trip_keeps_the_value(index):
     assert back == rec and type(back) is type(rec)
 
 
-def test_cover_from_masks_pickles_as_masks():
-    inst = CoverInstance.from_masks(3, (0b101,))
-    assert inst.sets == ((0, 2),)  # the cached view does not travel
+def test_cover_made_from_masks_pickles_as_masks():
+    inst = CoverInstance._make((3, (0b101,)))
+    assert inst.sets == ((0, 2),)
     back = pickle.loads(pickle.dumps(inst))
     assert back.masks == (0b101,) and back.sets == ((0, 2),)
 

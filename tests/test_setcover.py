@@ -53,7 +53,7 @@ def test_masks_and_the_sets_view_agree(raw):
         assert view == tuple(sorted(set(s)))  # sorted, each element once
         assert m == sum(1 << e for e in set(s))
         assert view == tuple(e for e in range(n) if m >> e & 1)
-    assert CoverInstance.from_masks(n, ci.masks) == ci
+    assert CoverInstance._make((n, ci.masks)) == ci
     text = canonical_json(cover_instance_to_payload(ci))
     assert cover_instance_from_payload(json.loads(text)) == ci
 
@@ -145,6 +145,31 @@ def test_decide_cover():
     assert not decide_cover(inst(2, [0]), 5)  # infeasible is a "no"
 
 
+@pytest.mark.parametrize(
+    "ci, witness",
+    [
+        (CoverInstance(6, [[0, 3], [1, 4], [2, 5], [0, 1, 2], [3, 4, 5]]), (3, 4)),
+        (
+            reduce_instance(generate_instance(1, 60, 10**4, mode="max-lcm", b_count=2))[0].cover,
+            None,
+        ),
+    ],
+    ids=["two-halves", "max-lcm-60"],
+)
+def test_each_call_kernelizes_once(ci, witness, monkeypatch):
+    # the self-reduction's decisions search the suffix as it is; only the
+    # public call runs the data reductions
+    calls = []
+    kernelize = setcover._kernelize
+    monkeypatch.setattr(setcover, "_kernelize", lambda *a: calls.append(a) or kernelize(*a))
+    sol = exact_cover(ci)
+    assert len(calls) == 1
+    assert witness is None or sol.chosen == witness
+    calls.clear()
+    assert decide_cover(ci, sol.size)
+    assert len(calls) == 1
+
+
 @st.composite
 def cover_instances(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -197,10 +222,11 @@ def test_exact_matches_exhaustive_oracle(ci):
     assert packing(full, len(masks) + 1)[0] <= size
     for k in range(len(ci.sets) + 1):
         assert decide_cover(ci, k) == (k >= size)
-        # above the optimum the decision returns some cover within k, not
-        # always a smallest one
-        found = setcover._kernel_cover(masks, full, k)
-        if k >= size:
+        # the search alone, on the raw family, decides the same; above the
+        # optimum it returns some cover within k, not always a smallest one
+        found = setcover._cover_within(list(masks), full, k)
+        assert (found is not None) == (k >= size)
+        if found is not None:
             assert len(set(found)) == len(found) <= k
             assert set().union(*(ci.sets[i] for i in found)) == set(range(ci.universe_size))
 
