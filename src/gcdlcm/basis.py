@@ -10,16 +10,17 @@ the result is deterministic.
 It is built factor first. Trial division by the 168 primes below 1000
 strips each element, stopping once p * p exceeds what is left. A
 cofactor left below 1009**2 has no prime factor below 1009, so it is 1
-or prime. Any other cofactor is rough. Only the rough cofactors, with
-the known primes that divide one of them, are refined by gcd splits: a
-worklist splits each value against a pairwise-coprime list held in the
-leaves of a product tree, so finding an entry that shares a factor with
-a value takes O(log |list|) gcds. Trial division over that rough base
-extracts their exponents. On elements up to 10**6 nothing is rough and
-no gcd split runs.
+or prime. Any other cofactor is rough; it met all 168 primes. Once one
+cofactor is rough, every cofactor left above 997 is refined together by
+gcd splits: a worklist splits each value against a pairwise-coprime
+list held in the leaves of a product tree, so finding an entry that
+shares a factor with a value takes O(log |list|) gcds. Trial division
+over that base, row by row, extracts the exponents of the cofactors it
+split, so columns stay in row order. On elements up to 10**6 nothing is
+rough and no gcd split runs: each cofactor above 997 is a prime.
 
-The factors found (small primes, known primes, rough base entries) form
-a coprime base of A, each with an exponent vector over the elements.
+The factors found (small primes, prime cofactors, refined base entries)
+form a coprime base of A, each with an exponent vector over the elements.
 Dividing a vector by the gcd g of its entries gives its primitive
 direction; the factors q of one direction become one basis element, the
 product of their q**g. Why that is N: the grouped set is a coprime base
@@ -168,14 +169,16 @@ def _columns(source: NatSet) -> tuple[tuple[int, ...], list[Column]]:
     """The ascending basis of a canonical set and, per basis element, its
     column: the rows holding it, ascending, and their exponents.
 
-    The factors come from trial division by the primes below 1000 and from
-    ``_refine`` on the rough cofactors alone; the factors of one primitive
-    exponent direction make one entry (see the module docstring).
+    The factors come from trial division by the primes below 1000 and,
+    once a cofactor is rough, from one ``_refine`` of every cofactor left
+    above 997; the factors of one primitive exponent direction make one
+    entry (see the module docstring).
     """
     # factor -> its holder rows, ascending, and their exponents
     holders: defaultdict[int, list[int]] = defaultdict(list)
     powers: defaultdict[int, list[int]] = defaultdict(list)
-    rough: list[tuple[int, int]] = []  # (row, cofactor)
+    left: list[tuple[int, int]] = []  # (row, cofactor above 997), by row
+    rough = False
     for row, v in enumerate(source):
         for p, square in _SMALL_SQUARES:
             if square > v:
@@ -188,37 +191,32 @@ def _columns(source: NatSet) -> tuple[tuple[int, ...], list[Column]]:
                     e += 1
                 holders[p].append(row)
                 powers[p].append(e)
-        if v >= _PRIME_BELOW:
-            rough.append((row, v))
+        if v > _SMALL_PRIMES[-1]:
+            left.append((row, v))
+            rough = rough or v >= _PRIME_BELOW
         elif v > 1:
             holders[v].append(row)
             powers[v].append(1)
-    if rough:
-        cofactors = [v for _, v in rough]
-        product = math.prod(cofactors)
-        shared = [q for q in holders if q > _SMALL_PRIMES[-1] and not product % q]
-        base = _refine(cofactors + shared)
-        unsplit = set(base)  # most rough cofactors come out of _refine whole
-        for row, v in rough:
-            if v in unsplit:
-                holders[v].append(row)
-                powers[v].append(1)
-                continue
-            for p in base:
-                if not v % p:
+    base = _refine([v for _, v in left]) if rough else ()
+    whole = set(base) if rough else ()
+    for row, v in left:
+        if not rough or v in whole:  # every prime cofactor comes out whole
+            holders[v].append(row)
+            powers[v].append(1)
+            continue
+        for p in base:
+            if not v % p:
+                v //= p
+                e = 1
+                while not v % p:
                     v //= p
-                    e = 1
-                    while not v % p:
-                        v //= p
-                        e += 1
-                    holders[p].append(row)
-                    powers[p].append(e)
-                    if v == 1:
-                        break
-            if v != 1:
-                raise RuntimeError("internal: an element is not a product of basis powers")
-        for q in shared:  # holders from both passes: back in row order
-            holders[q], powers[q] = map(list, zip(*sorted(zip(holders[q], powers[q]))))
+                    e += 1
+                holders[p].append(row)
+                powers[p].append(e)
+                if v == 1:
+                    break
+        if v != 1:
+            raise RuntimeError("internal: an element is not a product of basis powers")
     # primitive direction -> entry
     entries: dict[Column, int] = {}
     for q, rows in holders.items():

@@ -4,10 +4,11 @@ reconstruction, usage, and the lcm/gcd product identities."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdlcm import (
@@ -18,6 +19,7 @@ from gcdlcm import (
     gcd_set,
     generate_instance,
     lcm_set,
+    natset,
 )
 from helpers import dense_exponents, densify, pairwise_refine, reconstruct
 
@@ -237,6 +239,26 @@ def test_basis_matches_oracles_across_the_trial_bound(values):
     assert_valid_basis(cb)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(across_the_trial_bound, max_size=12).map(lambda values: values + values[::3]))
+# a rough row before the row whose cofactor is the known prime 1009
+@example([2 * 1009 * 1013 * 1019, 2 * 3**30 * 1009])
+# the known prime 1009 divides two rough cofactors
+@example([1009 * 1013 * 1019, 1009 * 1021 * 1031, 7 * 1009])
+# a prime 997 left over by trial division, next to a rough cofactor
+@example([2 * 997, 1009 * 1013 * 1019])
+def test_columns_hold_rows_in_order_across_the_trial_bound(values):
+    # each column holds exactly the rows with a positive exponent,
+    # strictly ascending, with the exponents that division reads
+    source = natset(values)
+    found, columns = basis._columns(source)
+    dense = dense_exponents(source, found)
+    for col, (rows, exps) in enumerate(columns):
+        assert list(rows) == [row for row, cells in enumerate(dense) if cells[col]]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert list(exps) == [dense[row][col] for row in rows]
+
+
 def test_refine_sees_only_rough_cofactors(monkeypatch):
     received = []
     real_refine = basis._refine
@@ -254,3 +276,33 @@ def test_refine_sees_only_rough_cofactors(monkeypatch):
     assert received
     small = math.prod(sieve_below(1000))
     assert all(math.gcd(v, small) == 1 for v in received)
+
+
+def test_refine_gets_every_cofactor_above_997_once_one_is_rough(monkeypatch):
+    # every cofactor of seed 1 is rough; seed 2 also leaves the prime
+    # 235159, which divides no rough cofactor and is refined with them
+    received = []
+    real_refine = basis._refine
+
+    def recording(values):
+        values = list(values)
+        received.append(values)
+        return real_refine(values)
+
+    monkeypatch.setattr(basis, "_refine", recording)
+    small = sieve_below(1000)
+    for seed in (1, 2):
+        source = natset(generate_instance(seed, 200, 10**18).a)
+        received.clear()
+        basis._columns(source)
+        left = []
+        for v in source:
+            for p in small:
+                while not v % p:
+                    v //= p
+            if v > 997:
+                left.append(v)
+        assert any(v >= 1009**2 for v in left)
+        assert len(received) == 1
+        assert Counter(received[0]) == Counter(left)
+    assert 235159 in left
