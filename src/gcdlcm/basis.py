@@ -127,9 +127,9 @@ def _refine(values: Iterable[int]) -> list[int]:
         i = 1
         while i < cap:
             i <<= 1
-            shared = gcd(g, tree[i])
-            if shared > 1:
-                g = shared
+            common = gcd(g, tree[i])
+            if common > 1:
+                g = common
             else:
                 i += 1
         p = tree[i]
