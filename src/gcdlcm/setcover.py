@@ -97,37 +97,36 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
     index list. An empty universe is covered by the empty subfamily.
 
     ``_kernelize`` runs once; the optimum by descent and the witness by
-    self-reduction on one decision (``_exact_search``) run on what it
-    leaves, mapped back through the increasing live indices and joined to
-    the forced sets.
+    self-reduction on one decision (``_exact_search``) run on the residual
+    masks it hands back, mapped back through the increasing live indices
+    and joined to the forced sets.
     """
     require_feasible(inst)
-    masks = inst.masks
-    forced, live, uncovered = _kernelize(masks, (1 << inst.universe_size) - 1)
-    residual = _exact_search([masks[i] & uncovered for i in live], uncovered)
-    return CoverSolution(tuple(sorted(forced + [live[i] for i in residual])), is_optimal=True)
+    forced, live, uncovered, residual = _kernelize(inst.masks, (1 << inst.universe_size) - 1)
+    chosen = _exact_search(residual, uncovered)
+    return CoverSolution(tuple(sorted(forced + [live[i] for i in chosen])), is_optimal=True)
 
 
 def decide_cover(inst: CoverInstance, k: int) -> bool:
     """Is there a cover of size <= k? Infeasible instances answer no.
-    The one decision, asked once on what ``_kernelize`` leaves, with k
-    less the forced sets."""
+    The one decision, asked once on the residual masks ``_kernelize``
+    hands back, with k less the forced sets."""
     try:
         require_feasible(inst)
     except InfeasibleError:
         return False
-    masks = inst.masks
-    forced, live, uncovered = _kernelize(masks, (1 << inst.universe_size) - 1)
+    forced, _, uncovered, residual = _kernelize(inst.masks, (1 << inst.universe_size) - 1)
     k -= len(forced)
-    return k >= 0 and _cover_within([masks[i] & uncovered for i in live], uncovered, k) is not None
+    return k >= 0 and _cover_within(residual, uncovered, k) is not None
 
 
-def _kernelize(masks: Sequence[int], full: int) -> tuple[list[int], list[int], int]:
+def _kernelize(masks: Sequence[int], full: int) -> tuple[list[int], list[int], int, list[int]]:
     """Apply the set-cover data reductions to a fixpoint on the bitmasks
     of a feasible instance over the elements of ``full``. Returns
-    (forced, live, uncovered): the set indices every canonical cover
-    takes, the increasing indices of the sets still to choose from, and
-    the elements the forced sets leave uncovered (0 when none).
+    (forced, live, uncovered, residual): the set indices every canonical
+    cover takes, the increasing indices of the sets still to choose from,
+    the elements the forced sets leave uncovered (0 when none), and the
+    live sets' masks restricted to those elements, in live order.
 
     Each round restricts the live sets to the uncovered elements and
       1. drops a set that adds nothing there,
@@ -165,7 +164,7 @@ def _kernelize(masks: Sequence[int], full: int) -> tuple[list[int], list[int], i
             once |= m
         unique = once & ~twice
         if not unique:
-            return forced, live, uncovered
+            return forced, live, uncovered, list(restricted)
         for m, i in restricted.items():
             if m & unique:
                 forced.append(i)
@@ -196,19 +195,19 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
     """Lexicographically smallest minimum cover of ``full`` by sets within
     it, by descent and self-reduction on the one decision ``_cover_within``.
 
-    A descent, asking for one set fewer than the last cover found until
-    the answer is no, gives a minimum cover C of s sets. The witness W is
-    fixed one position at a time. With W[:p] fixed and C[p:] covering the
-    rest, each j > W[p - 1] whose later sets cover what it leaves with
-    s - p - 1 sets (no fewer can) starts a minimum cover, and a smaller
-    p-th index is lexicographically smaller whatever follows: W[p] is the
-    least such j. C[p] is one, so only j < C[p] are decided, and a yes
-    replaces C[p:] by j and the cover found. A j adding nothing would
-    leave s - 1 sets, so it is skipped. Each decision asks for the rest
-    by the later sets restricted to it, which cover it, since C[p:] lies
-    among them.
+    The descent starts from greedy's cover and asks for one set fewer
+    than the last cover found until the answer is no: that gives a
+    minimum cover C of s sets. The witness W is fixed one position at a
+    time. With W[:p] fixed and C[p:] covering the rest, each j > W[p - 1]
+    whose later sets cover what it leaves with s - p - 1 sets (no fewer
+    can) starts a minimum cover, and a smaller p-th index is
+    lexicographically smaller whatever follows: W[p] is the least such j.
+    C[p] is one, so only j < C[p] are decided, and a yes replaces C[p:]
+    by j and the cover found. A j adding nothing would leave s - 1 sets,
+    so it is skipped. Each decision asks for the rest by the later sets
+    restricted to it, which cover it, since C[p:] lies among them.
     """
-    cover = _cover_within(masks, full, len(masks))
+    cover = _greedy_order(masks, full)
     while (fewer := _cover_within(masks, full, len(cover) - 1)) is not None:
         cover = fewer
     cover.sort()  # cover[:p] is final

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gcdlcm import (
     DomainError,
+    SplitMix64,
     basis,
     compute_basis,
     exponent_profile,
@@ -21,6 +22,7 @@ from gcdlcm import (
     lcm_set,
     natset,
 )
+from gcdlcm.numeric import first_primes
 from helpers import dense_exponents, densify, pairwise_refine, reconstruct
 
 
@@ -168,12 +170,30 @@ def test_basis_matches_pairwise_refinement_on_shared_prime_powers(values):
         assert_profile_identities(cb)
 
 
+def rough_semiprimes(count, primes, seed):
+    """``count`` distinct products of two distinct ``primes``, the pairs
+    drawn by SplitMix64(seed).below."""
+    rng = SplitMix64(seed)
+    products = {}
+    while len(products) < count:
+        p, q = (primes[rng.below(len(primes))] for _ in range(2))
+        if p != q:
+            products.setdefault(p * q, None)
+    return list(products)
+
+
 def test_refinement_gcd_calls_grow_with_the_log_of_the_basis(monkeypatch):
-    # a scan of the whole coprime list per value made 2,176 calls per
-    # value here; a descent of the product tree makes about 24. The
-    # values are refined directly: compute_basis factors values this
-    # small over the primes below 1000 and never refines them.
-    values = generate_instance(1, 2000, 10**4).a
+    cases = [
+        # a scan of the whole coprime list per value made 2,176 calls per
+        # value here; a descent of the product tree makes about 24. The
+        # values are refined directly: compute_basis factors values this
+        # small over the primes below 1000 and never refines them.
+        (generate_instance(1, 2000, 10**4).a, 100),
+        # rough values sharing large primes, which _columns does refine:
+        # the tree makes about 10 calls per value, a running product with
+        # a linear scan on a hit about 65
+        (rough_semiprimes(1000, first_primes(368)[168:], 1), 20),
+    ]
     calls = 0
     real_gcd = math.gcd
 
@@ -183,8 +203,10 @@ def test_refinement_gcd_calls_grow_with_the_log_of_the_basis(monkeypatch):
         return real_gcd(*args)
 
     monkeypatch.setattr(math, "gcd", counting)
-    basis._refine([v for v in values if v > 1])
-    assert calls <= 100 * sum(v > 1 for v in values)
+    for values, per_value in cases:
+        calls = 0
+        basis._refine([v for v in values if v > 1])
+        assert calls <= per_value * sum(v > 1 for v in values)
 
 
 def sieve_below(n):

@@ -11,14 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdlcm import (
+    CirculantGraph,
     CoverInstance,
     DomainError,
     InfeasibleError,
+    ProblemInstance,
     decide_cover,
     exact_cover,
     generate_instance,
     greedy_cover,
+    prune_links,
     reduce_instance,
+    solve,
 )
 from gcdlcm import setcover
 from gcdlcm.jsonio import canonical_json, cover_instance_from_payload, cover_instance_to_payload
@@ -98,7 +102,7 @@ def test_infeasible_reports_smallest_uncovered_element():
         assert exc.value.certificate == {"uncoverable_element": 1}
 
 
-def test_greedy_overshoots_on_the_classic_trap():
+def test_greedy_overshoots_on_the_classic_trap(monkeypatch):
     # one big set baits greedy into three picks where two suffice
     ci = inst(6, [0, 1, 2, 3], [0, 1, 4], [2, 3, 5])
     g = greedy_cover(ci)
@@ -116,7 +120,13 @@ def test_greedy_overshoots_on_the_classic_trap():
     rows = [range(0, 15), range(15, 30)]
     ci = inst(30, *[[e for c in b for e in (c, c + 15)] for b in blocks], *rows)
     assert greedy_cover(ci).chosen == (0, 1, 2, 3)
+    # nothing is forced, and the descent starts from greedy's four sets:
+    # no decision asks for four or more
+    asked = []
+    within = setcover._cover_within
+    monkeypatch.setattr(setcover, "_cover_within", lambda m, f, k: asked.append(k) or within(m, f, k))
     assert exact_cover(ci).chosen == (4, 5)
+    assert asked and max(asked) < 4
 
 
 def test_greedy_tie_breaks_to_lowest_index():
@@ -168,6 +178,31 @@ def test_each_call_kernelizes_once(ci, witness, monkeypatch):
     calls.clear()
     assert decide_cover(ci, sol.size)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [generate_instance(s, 500, 10**4) for s in range(3)]
+    + [
+        CirculantGraph(30, (6, 10, 15, 7)),
+        CirculantGraph(210, (6, 10, 14, 15, 21, 35)),
+        CirculantGraph(900, (12, 18, 20, 45, 50, 75, 7)),
+        CirculantGraph(2310, (210, 1155, 770, 462, 330, 77, 35)),
+    ],
+    ids=[f"min-gcd-{s}" for s in range(3)] + [f"circulant-{m}" for m in (30, 210, 900, 2310)],
+)
+def test_the_root_bound_refutes_the_descents_last_step(problem, monkeypatch):
+    # on these min-gcd covers ceil(|full| / largest set) refutes one set
+    # fewer than the optimum, so no decision builds the packing index;
+    # without that bound each one is built 1 to 5 times
+    def no_packing(masks, full):
+        raise AssertionError("the packing index was built")
+
+    monkeypatch.setattr(setcover, "_packing", no_packing)
+    if isinstance(problem, ProblemInstance):
+        assert solve(problem).s
+    else:
+        assert prune_links(problem)
 
 
 @st.composite
@@ -285,7 +320,7 @@ def test_exact_cover_matches_componentwise_oracle_on_a_large_residual():
     # what kernelization leaves of a 1000-value max-lcm cover: 17 connected
     # components of at most 17 sets, each small enough to enumerate
     cover = reduce_instance(generate_instance(1, 1000, 10**6, mode="max-lcm", b_count=2))[0].cover
-    _, live, uncovered = setcover._kernelize(cover.masks, (1 << cover.universe_size) - 1)
+    _, live, uncovered, _ = setcover._kernelize(cover.masks, (1 << cover.universe_size) - 1)
     kept = [e for e in range(cover.universe_size) if uncovered >> e & 1]
     label = {e: k for k, e in enumerate(kept)}
     residual = CoverInstance(
