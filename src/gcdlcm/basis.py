@@ -166,8 +166,9 @@ Column = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _columns(source: NatSet) -> tuple[tuple[int, ...], list[Column]]:
-    """The ascending basis of a canonical set and, per basis element, its
-    column: the rows holding it, ascending, and their exponents.
+    """The ascending basis of the values, rows in the order given and
+    repeats allowed (``compute_basis`` canonicalizes), and per basis
+    element its column: the rows holding it, ascending, and their exponents.
 
     The factors come from trial division by the primes below 1000 and,
     once a cofactor is rough, from one ``_refine`` of every cofactor left

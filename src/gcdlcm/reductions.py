@@ -13,7 +13,7 @@ are. Min-gcd first folds b into a, each x becoming gcd({x} | b), and
 covers that image with no b: on circulant link pruning, where b holds
 the node count, the basis of all of a | b would cost tens of times the
 whole solve. The instance's sets are canonical and are not checked
-again: the merge of a | b sorts their union and checks nothing.
+again, nor merged: the basis rows are a's, then b's.
 
 Backward direction: a cover instance over X embeds into integers by
 assigning the j-th prime to universe element j; a set maps to the product
@@ -89,32 +89,30 @@ def _attainment_cover(a: NatSet, b: NatSet, stat: str) -> CoverReduction:
     through ``CoverInstance._make``.
 
     a and b must be canonical sets, not both empty, and b is empty for
-    "min" (``reduce_instance`` folds it into a first). They are not checked
-    again: a | b is their sorted union, or a itself when b is empty.
+    "min" (``reduce_instance`` folds it into a first). Nothing is checked
+    or merged: a's rows come first, then b's, so a column is b's when its
+    attaining rows reach past a; a value in both just repeats a row.
     """
-    source = tuple(sorted({*a, *b})) if b else a
-    basis, columns = _columns(source)
-    row_of = {x: i for i, x in enumerate(source)} if b else {}
-    b_rows = {row_of[x] for x in b}
-    masks = [0] * len(source)
+    basis, columns = _columns(a + b)
+    masks = [0] * len(a)  # b's rows never take a bit
     held_by_none = 0  # the bits of the kept columns with extreme 0
     labels: list[int] = []
     for p, (rows, exps) in zip(basis, columns):
         bit = 1 << len(labels)
-        if stat == "min" and len(rows) < len(source):
+        if stat == "min" and len(rows) < len(a):  # b is empty
             held_by_none += bit
             bit = -bit  # each holder takes the bit out again
         else:
             extreme = max(exps) if stat == "max" else min(exps)
             if exps.count(extreme) < len(exps):
                 rows = [r for r, e in zip(rows, exps) if e == extreme]
-            if b_rows and not b_rows.isdisjoint(rows):
+            if rows[-1] >= len(a):
                 continue
         for r in rows:
             masks[r] += bit
         labels.append(p)
     owner: dict[int, int] = {}  # mask -> smallest owner
-    for x, m in zip(a, [masks[row_of[x]] for x in a] if b else masks):
+    for x, m in zip(a, masks):
         owner.setdefault(m + held_by_none, x)
     return CoverReduction(
         cover=CoverInstance._make((len(labels), tuple(owner))),

@@ -186,6 +186,9 @@ across_the_trial_bound = st.one_of(
 @example([2 * 1009 * 1013 * 1019, 2 * 3**30 * 1009], [], 1, "min")  # 1009 known and split off
 @example([2 * 1009 * 1013 * 1019, 2 * 3**30 * 1009], [], 1, "max")  # ... a rough cofactor
 @example([3, 6], [], 1, "min")  # 3 attains a 0-min column and a positive-min one
+@example([6, 10], [4], 1, "max")  # b lies below a and attains 2**2; labels (3, 5)
+@example([4, 9], [9], 1, "max")  # 9 in a and b: its column leaves, 9 owns an empty set
+@example([8, 9], [2, 3], 1, "max")  # b attains nothing
 def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
     a = sorted({x * common for x in a})
     b = sorted({x * common for x in b})
@@ -203,6 +206,27 @@ def test_sparse_reduction_matches_the_dense_walk(a, b, common, stat):
         expected = dense_attainment_reduction(image, [], stat)
     sparse = (red.cover.universe_size, red.cover.masks, red.universe_labels, red.set_owners)
     assert sparse == expected
+
+
+def test_attainment_rows_are_a_then_b_unmerged(monkeypatch):
+    # b's rows follow a's as given, a value in both repeated; with b
+    # empty the basis reads a itself
+    received = []
+    real_columns = gcdlcm.reductions._columns
+
+    def recording(source):
+        received.append(source)
+        return real_columns(source)
+
+    monkeypatch.setattr(gcdlcm.reductions, "_columns", recording)
+    for a, b, rows in (((6, 10), (4,), (6, 10, 4)), ((4, 9), (9,), (4, 9, 9))):
+        reduce_instance(ProblemInstance(a, b, "max-lcm"))
+        assert received.pop() == rows
+    inst = ProblemInstance((4, 6, 9), (), "max-lcm")
+    reduce_instance(inst)
+    assert received.pop() is inst.a
+    bem = reduce_instance(ProblemInstance((4, 6, 9), (10,), "min-gcd"))[1]
+    assert received.pop() is bem.reduced
 
 
 @pytest.mark.parametrize(
