@@ -39,17 +39,14 @@ def _instance_from_args(args) -> ProblemInstance:
     if args.input is not None and (args.a is not None or args.b is not None):
         raise DomainError("give --input or inline -A/-B values, not both")
     if args.input is not None:
-        inst = jsonio.instance_from_payload(_read_json(args.input))
-        if args.mode is not None and args.mode != inst.mode:
-            inst = ProblemInstance(a=inst.a, b=inst.b, mode=args.mode)
-        return inst
-    if args.a is None:
+        payload = _read_json(args.input)
+    elif args.a is None:
         raise DomainError("an instance needs --input FILE or inline -A values")
-    return ProblemInstance(
-        a=tuple(jsonio.parse_int_list(args.a, "A")),
-        b=tuple(jsonio.parse_int_list(args.b or [], "B")),
-        mode=args.mode or "min-gcd",
-    )
+    else:  # inline values are read as the payload a file would hold
+        payload = {"A": args.a, "B": args.b or []}
+    inst = jsonio.instance_from_payload(payload)
+    # argparse limits --mode to MODES, and a and b are already canonical
+    return inst if args.mode is None else inst._replace(mode=args.mode)
 
 
 def _cmd_solve(args):

@@ -3,7 +3,7 @@
 Conventions shared by every payload: the output is the bytes
 ``json.dumps(payload, indent=2, sort_keys=True)`` writes, plus a trailing
 newline, so equal data always produces identical bytes. It is made with
-one join per list of ints or of strings: ``json.dumps`` with ``indent``
+one join per list of strings: ``json.dumps`` with ``indent``
 runs the pure-Python encoder, which costs more than computing a large
 basis or reduction. The two large lists of rows, a basis's exponent
 matrix and a cover's sets, stay in the form their owner holds them (rows
@@ -49,10 +49,7 @@ def _indented(v: Any, nl: str) -> str:
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        kinds = set(map(type, v))
-        if kinds == {int}:
-            items = map(int.__repr__, v)
-        elif kinds == {str}:
+        if set(map(type, v)) == {str}:
             items = map(encode_basestring_ascii, v)
         else:
             items = (_indented(x, inner) for x in v)
@@ -186,6 +183,9 @@ def instance_to_payload(inst: ProblemInstance) -> dict:
 
 
 def instance_from_payload(payload: Any) -> ProblemInstance:
+    """The one parser of instances: a file's payload, and the inline
+    ``-A``/``-B`` values as the payload a file would hold. ``mode``
+    defaults to ``min-gcd``."""
     _require(payload, "A")
     mode = payload.get("mode", "min-gcd")
     if not isinstance(mode, str):

@@ -22,6 +22,7 @@ from gcdlcm import (
     decide,
     decide_cover,
     exact_cover,
+    jsonio,
     prune_links,
     solve,
 )
@@ -377,6 +378,98 @@ def test_cli_and_library_build_no_set_lists(monkeypatch, capsys, tmp_path, unlim
 
     monkeypatch.setattr(CoverInstance, "sets", property(refuse))
     assert outputs() == plain
+
+
+def test_inline_values_parse_as_a_files_payload(monkeypatch, capsys, tmp_path):
+    """Inline ``-A``/``-B`` values go through ``instance_from_payload`` as
+    the payload a file would hold, and ``--mode`` overrides the parsed mode."""
+    a, b = ["12", "18", "30", "45"], ["6"]
+    parsed = []
+    parse = jsonio.instance_from_payload
+
+    def record(payload):
+        parsed.append(payload)
+        return parse(payload)
+
+    monkeypatch.setattr(jsonio, "instance_from_payload", record)
+    commands = [["solve"], ["reduce"], ["basis"]]
+    for command in commands:
+        assert cli.main([*command, "-A", *a, "-B", *b]) == 0
+    capsys.readouterr()
+    assert parsed == [{"A": a, "B": b}] * len(commands)
+
+    def run(argv):
+        status = cli.main(argv)
+        out, err = capsys.readouterr()
+        return status, out, err
+
+    for mode in ("min-gcd", "max-lcm"):
+        f = tmp_path / f"{mode}.json"
+        f.write_text(json.dumps({"A": a, "B": b, "mode": mode}))
+        for command in commands:
+            inline = run([*command, "--mode", mode, "-A", *a, "-B", *b])
+            assert inline[0] == 0 and inline == run([*command, "--input", str(f)])
+
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"A": ["6", "x"]}))
+    status, out, err = run(["solve", "-A", "6", "x"])
+    assert (status, out) == (2, "") and "A[1]" in err
+    assert run(["solve", "--input", str(f)]) == (status, out, err)
+
+    # a file is checked in full before --mode replaces its mode
+    f.write_text(json.dumps({"A": ["6", "10"], "mode": "median"}))
+    status, out, err = run(["solve", "--input", str(f), "--mode", "max-lcm"])
+    assert (status, out) == (2, "") and "mode" in err
+
+
+def test_canonical_json_gets_only_str_lists_and_held_rows(monkeypatch, capsys, tmp_path):
+    """Every payload a command writes holds lists of decimal strings or
+    names, ``str`` keys, and held views of rows: nothing that needs a join
+    of ints."""
+    written = []
+    write = jsonio.canonical_json
+
+    def record(payload):
+        written.append(payload)
+        return write(payload)
+
+    monkeypatch.setattr(jsonio, "canonical_json", record)
+    inline = ["-A", "12", "18", "30", "45", "-B", "6"]
+    calls = [
+        (["solve", *inline], 0),
+        (["solve", "--method", "greedy", *inline], 0),
+        (["solve", "--method", "brute-force", *inline], 0),
+        (["basis", *inline], 0),
+        (["circulant", "-m", "60", "--links", "6", "10", "15", "24"], 0),
+        (["circulant", "-m", "12", "--links", "3", "6"], 1),
+        (["gen", "--seed", "3", "--count", "5", "--b-count", "2"], 0),
+    ]
+    covers = [({"universe_size": 3, "sets": [[0, 1], [1, 2], [2]]}, 0)]
+    covers.append(({"universe_size": 2, "sets": [[0]]}, 1))
+    for mode in ("min-gcd", "max-lcm"):
+        calls.append((["reduce", "--mode", mode, *inline], 0))
+        for i, (cover, status) in enumerate(covers):
+            f = tmp_path / f"cover{i}.json"
+            f.write_text(json.dumps(cover))
+            backward = ["reduce", "--direction", "backward", "--mode", mode, "--input", str(f)]
+            calls.append((backward, status))
+    for argv, status in calls:
+        assert cli.main(argv) == status, argv
+    capsys.readouterr()
+    assert len(written) == len(calls)
+
+    def walk(v):
+        if isinstance(v, list):
+            assert all(isinstance(x, str) for x in v), v
+        elif isinstance(v, dict):
+            assert all(isinstance(k, str) for k in v), v
+            for x in v.values():
+                walk(x)
+        elif not isinstance(v, (str, int, float, type(None))):
+            assert isinstance(v, jsonio._HeldRows), v
+
+    for payload in written:
+        walk(payload)
 
 
 def test_solve_with_an_owner_of_no_columns():
