@@ -33,6 +33,8 @@ def _read_json(path: str):
         raise DomainError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DomainError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _instance_from_args(args) -> ProblemInstance:

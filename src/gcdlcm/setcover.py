@@ -109,15 +109,14 @@ def exact_cover(inst: CoverInstance) -> CoverSolution:
 
 def decide_cover(inst: CoverInstance, k: int) -> bool:
     """Is there a cover of size <= k? Infeasible instances answer no.
-    The one decision, asked once on the residual masks ``_kernelize``
-    hands back, with k less the forced sets."""
+    The one decision, on the residual masks ``_kernelize`` hands back and
+    k less the forced sets, with no test on k: it refuses a negative one."""
     try:
         require_feasible(inst)
     except InfeasibleError:
         return False
     forced, _, uncovered, residual = _kernelize(inst.masks, (1 << inst.universe_size) - 1)
-    k -= len(forced)
-    return k >= 0 and _cover_within(residual, uncovered, k) is not None
+    return _cover_within(residual, uncovered, k - len(forced)) is not None
 
 
 def _kernelize(masks: Sequence[int], full: int) -> tuple[list[int], list[int], int, list[int]]:
@@ -227,12 +226,12 @@ def _exact_search(masks: list[int], full: int) -> list[int]:
 
 def _cover_within(masks: list[int], full: int, k: int) -> list[int] | None:
     """The first cover of ``full`` by at most ``k`` of the sets (which lie
-    within it and cover it) that the search meets, or None. The root's
-    cheap bound ceil(|full| / largest set) refutes k, else greedy's cover
-    accepts it, else a branch-and-bound stopping at its first leaf decides.
-    It branches on the first element ``_packing`` keeps, tries its holders
-    by decreasing gain, skips one whose gain a tried sibling's contains,
-    and cuts a node once its depth plus the packing exceeds k."""
+    within it and cover it) that the search meets, or None, as for any
+    negative k. The root's bound ceil(|full| / largest set) refutes k, else
+    greedy's cover accepts it, else a branch-and-bound stopping at its first
+    leaf decides. It branches on the first element ``_packing`` keeps, tries
+    its holders by decreasing gain, skips one whose gain a tried sibling's
+    contains, and cuts a node once its depth plus the packing exceeds k."""
     if not full:
         return [] if k >= 0 else None
     if -(-full.bit_count() // max(map(int.bit_count, masks))) > k:

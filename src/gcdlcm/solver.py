@@ -1,11 +1,12 @@
 """End-to-end subset minimization: smallest S within a such that S together
 with b preserves the gcd (or lcm) of everything.
 
-Pipeline: if b alone already attains the target, the answer is empty.
-Otherwise ``reductions.reduce_instance``, the one forward reduction,
-turns the instance into a cover (folding b into a for min-gcd), the
-cover search solves it, and its solution maps back through the owner
-maps (and the elimination section) to elements of a.
+Pipeline: the answer starts empty, which is right when b alone attains
+the target. Otherwise ``reductions.reduce_instance``, the one forward
+reduction, turns the instance into a cover (folding b into a for
+min-gcd), the cover search solves it, and its solution maps back through
+the owner maps (and the elimination section) to elements of a. Every
+answer, the empty one too, is checked against the target.
 
 A subset enumerator capped at small sizes serves as the independent
 oracle for the whole pipeline.
@@ -56,30 +57,27 @@ def solve(inst: ProblemInstance, method: str = "exact") -> SubsetSolution:
 
     Greedy answers satisfy |S| <= (ln |X| + 1) * OPT over the reduced
     universe X. ``optimal`` is the cover solution's flag: owners pull back
-    injectively, and an empty cover to one element.
+    injectively, and an empty cover to one element. S is empty when b alone
+    attains the target (no cover; sizes 0); every answer passes one check.
     """
     if method not in ("exact", "greedy"):
         raise DomainError(f"method must be 'exact' or 'greedy', got {method!r}")
     start = time.perf_counter()
     target = _mode_value(inst.mode, inst.a + inst.b)
-    if _mode_value(inst.mode, inst.b) == target:
-        stats = SolveStats(time.perf_counter() - start, 0, 0)
-        return SubsetSolution((), target, target, method, True, stats)
-
-    red, bem = reduce_instance(inst)
-    pull_back = bem.section.__getitem__ if bem is not None else lambda owner: owner
-
-    cover_sol = exact_cover(red.cover) if method == "exact" else greedy_cover(red.cover)
-    # b misses the target, so S is not empty: an empty universe has one
-    # set, owned by the smallest element, and that set is the answer
-    s = tuple(sorted(pull_back(red.set_owners[i]) for i in cover_sol.chosen or (0,)))
+    s, optimal, dims = (), True, (0, 0)  # the answer when b alone attains the target
+    if _mode_value(inst.mode, inst.b) != target:
+        red, bem = reduce_instance(inst)
+        pull_back = bem.section.__getitem__ if bem is not None else lambda owner: owner
+        cover_sol = exact_cover(red.cover) if method == "exact" else greedy_cover(red.cover)
+        # b misses the target, so S is not empty: an empty universe has one
+        # set, owned by the smallest element, and that set is the answer
+        s = tuple(sorted(pull_back(red.set_owners[i]) for i in cover_sol.chosen or (0,)))
+        optimal, dims = cover_sol.is_optimal, (red.cover.universe_size, len(red.cover.masks))
     achieved = _mode_value(inst.mode, s + inst.b)
     if achieved != target:
         raise RuntimeError(f"internal: solution achieves {achieved}, target {target}")
-    stats = SolveStats(
-        time.perf_counter() - start, red.cover.universe_size, len(red.cover.masks)
-    )
-    return SubsetSolution(s, achieved, target, method, cover_sol.is_optimal, stats)
+    stats = SolveStats(time.perf_counter() - start, *dims)
+    return SubsetSolution(s, achieved, target, method, optimal, stats)
 
 
 def decide(inst: ProblemInstance, k: int) -> bool:

@@ -281,7 +281,7 @@ def test_non_canonical_inline_decimals_exit_2(capsys, argv, field):
     assert not out and field in err
 
 
-def test_parse_errors_report_position_and_exit_2():
+def test_parse_errors_report_position_and_exit_2(tmp_path):
     r = run_cli("solve", "--input", "-", stdin="{broken")
     assert r.returncode == 2
     assert "line 1" in r.stderr
@@ -290,6 +290,16 @@ def test_parse_errors_report_position_and_exit_2():
     assert "A[0]" in r.stderr
     r = run_cli("solve", "--input", "/nonexistent/instance.json")
     assert r.returncode == 2
+    # nesting past the recursion limit is a parse error, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for args, stdin in [
+        (("solve", "--input", "-"), "[" * 100000),
+        (("reduce", "--direction", "backward", "--input", str(deep)), None),
+    ]:
+        r = run_cli(*args, stdin=stdin)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
 def test_unwritable_output_reports_one_line_and_exits_2(tmp_path):

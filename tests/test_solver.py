@@ -131,13 +131,31 @@ def test_seeded_max_lcm_pins(params, expected):
     assert solve(inst).s == expected
 
 
-def test_b_alone_attaining_target_gives_empty_s():
+def test_b_alone_attaining_target_gives_empty_s(monkeypatch):
     sol = solve(mk([4, 6], [2]))
     assert sol.s == ()
     assert sol.achieved == 2
     sol = solve(mk([4], [8], mode="max-lcm"))
     assert sol.s == ()
     assert sol.achieved == 8
+
+    def no_reduction(inst):
+        raise AssertionError("b alone attains the target: nothing to reduce")
+
+    # the empty answer builds no cover, even where a reduction would refuse:
+    # min-gcd cannot eliminate b from an empty a
+    monkeypatch.setattr(solver_module, "reduce_instance", no_reduction)
+    cases = [
+        ([4, 6], [2], "min-gcd"),
+        ([4], [8], "max-lcm"),
+        ([], [6, 10], "min-gcd"),
+        ([], [6, 10], "max-lcm"),
+    ]
+    for a, b, mode in cases:
+        for method in ("exact", "greedy"):
+            sol = solve(mk(a, b, mode), method=method)
+            assert sol.s == () and sol.optimal and sol.achieved == sol.target
+            assert sol.stats.universe_size == sol.stats.num_sets == 0
 
 
 def test_singleton_and_one_element_sets():
